@@ -26,10 +26,7 @@
 //     2x of the fault-free error at every n in the sweep;
 //   * the plain least-squares path is measurably worse on the same corrupted
 //     input (refusal on the detectable family, > 2x the robust error on the
-//     silent family);
-//   * the preconditioned fallback ladder (block-Jacobi CG) produces the same
-//     IRLS convergence classification as the Jacobi ladder on every dirty
-//     payload -- preconditioning changes iteration counts, never outcomes.
+//     silent family).
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -55,11 +52,6 @@ struct SweepPoint {
   Real robust_err = 0.0;  ///< robust+masked (detectable) / Tukey (silent)
   Real plain_err = 0.0;   ///< plain least squares on the corrupted payload
   Index corrupted = 0;    ///< corrupted entries, summed over seeds
-  /// Seeds where the preconditioned fallback ladder classified the IRLS solve
-  /// differently (converged flag or termination reason) than the Jacobi
-  /// ladder on the same dirty payload. Must stay 0: preconditioning may not
-  /// change convergence classification. Checked at the gate fraction only.
-  Index precond_classification_mismatches = 0;
 };
 
 Real median_abs_rel_error(const circuit::ResistanceGrid& recovered,
@@ -129,29 +121,6 @@ Real solve_err(const mea::Measurement& m, const circuit::ResistanceGrid& truth,
   }
 }
 
-/// Runs the robust solve through the fallback ladder twice -- inline-Jacobi
-/// CG vs the block-Jacobi preconditioner -- and reports whether both produce
-/// the same IRLS convergence classification (converged flag + termination
-/// reason, with typed refusals folded in).
-bool classification_matches(const mea::Measurement& m,
-                            const solver::InverseOptions& robust) {
-  auto classify = [&](linalg::PreconditionerKind kind) -> std::pair<int, bool> {
-    solver::InverseOptions options = robust;
-    options.use_fallback_ladder = true;
-    options.ladder_preconditioner = kind;
-    try {
-      const solver::InverseResult result = solver::recover_resistances(m, options);
-      return {static_cast<int>(result.termination), result.converged};
-    } catch (const ContractError&) {
-      return {-1, false};
-    } catch (const NumericalError&) {
-      return {-2, false};
-    }
-  };
-  return classify(linalg::PreconditionerKind::kJacobi) ==
-         classify(linalg::PreconditionerKind::kBlockJacobi);
-}
-
 SweepPoint run_point(const std::string& family, Index n, Real fraction, int seeds) {
   const bool detectable = family == "detectable";
   SweepPoint point;
@@ -177,12 +146,6 @@ SweepPoint run_point(const std::string& family, Index n, Real fraction, int seed
     mea::Measurement masked = dirty;
     if (detectable) mea::mask_invalid_entries(masked);
     robust_errs.push_back(solve_err(masked, scenario.truth, robust));
-
-    // The preconditioned-path gate (checked at the gate fraction to bound
-    // cost): same classification with and without the block preconditioner.
-    if (fraction == 0.1 && !classification_matches(masked, robust)) {
-      ++point.precond_classification_mismatches;
-    }
   }
   point.clean_err = median_of(clean_errs);
   point.robust_err = median_of(robust_errs);
@@ -202,9 +165,7 @@ void write_json(const std::vector<SweepPoint>& points, const std::string& path) 
     os << "    {\"family\": \"" << p.family << "\", \"n\": " << p.n
        << ", \"fraction\": " << p.fraction << ", \"corrupted\": " << p.corrupted
        << ", \"clean_err\": " << p.clean_err << ", \"robust_err\": " << p.robust_err
-       << ", \"plain_err\": " << p.plain_err
-       << ", \"precond_classification_mismatches\": "
-       << p.precond_classification_mismatches << "}"
+       << ", \"plain_err\": " << p.plain_err << "}"
        << (i + 1 < points.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -252,13 +213,6 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (const SweepPoint& p : points) {
     if (p.fraction != 0.1) continue;
-    if (p.precond_classification_mismatches > 0) {
-      std::cout << "GATE FAIL: " << p.family << " n=" << p.n
-                << " preconditioned ladder changed the IRLS convergence "
-                   "classification on "
-                << p.precond_classification_mismatches << " seed(s)\n";
-      ++failures;
-    }
     if (p.family == "detectable") {
       if (p.robust_err > 2.0 * p.clean_err + 1e-3) {
         std::cout << "GATE FAIL: detectable n=" << p.n << " robust_err=" << p.robust_err
@@ -283,8 +237,7 @@ int main(int argc, char** argv) {
   if (quick && failures > 0) return 1;
   if (failures == 0) {
     std::cout << "\ngates: robust+masked within 2x of fault-free at 10% corruption, "
-                 "plain least squares measurably worse, preconditioned ladder "
-                 "classification unchanged -- all hold.\n";
+                 "plain least squares measurably worse -- all hold.\n";
   }
   return 0;
 }

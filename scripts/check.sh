@@ -18,12 +18,16 @@
 #     under three distinct PARMA_CHAOS_SEED values.
 #   - ASan+UBSan (-DPARMA_SANITIZE=address,undefined) over the same suites.
 #
+# After the tier-1 ctest, smoke-runs the repo benchmark: perfbench/run.py
+# for both workloads (recover, serve_tcp), untraced and traced, 2 s each;
+# any non-zero exit (a perfbench build break against src/, a failed warm-up
+# request, a wrong answer) fails the check.
+#
 # Also runs the solver hot-path bench in --quick mode, which fails (non-zero
 # exit) unless the kernel refresh holds its 2x-at-n>=16 speedup over the
-# CooBuilder assembly path, the preconditioned kernel solve is >= 4x faster
-# end to end than the legacy path, and the default preconditioner cuts CG
-# iterations >= 2x vs unpreconditioned CG; the robust-accuracy bench in
-# --quick mode,
+# CooBuilder assembly path and the block-Jacobi preconditioner cuts CG
+# iterations >= 2x vs unpreconditioned CG on the first Gauss-Newton step at
+# n>=16; the robust-accuracy bench in --quick mode,
 # which fails unless the robust+masked pipeline stays within 2x of the
 # fault-free error at 10% corruption (and plain least squares is measurably
 # worse), and the net-throughput bench in --quick mode, which fails unless
@@ -70,7 +74,15 @@ cmake --build build -j "${jobs}"
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j "${jobs}")
 
-echo "== bench: solver_hotpath --quick (2x refresh, 4x preconditioned solve, 2x CG-iteration gates) =="
+echo "== perfbench: smoke runs (recover, serve_tcp; untraced and traced; 2 s each) =="
+for workload in recover serve_tcp; do
+  for trace in 0 1; do
+    echo "-- perfbench --workload ${workload} --trace ${trace}"
+    python3 perfbench/run.py --workload "${workload}" --seconds 2 --trace "${trace}"
+  done
+done
+
+echo "== bench: solver_hotpath --quick (2x refresh, 2x first-step CG-iteration gates) =="
 ./build/bench/solver_hotpath --quick
 
 echo "== bench: robust_accuracy --quick (2x dirty-input accuracy gate) =="

@@ -1,292 +1,12 @@
 #include "linalg/iterative.hpp"
 
-#include <cmath>
-#include <limits>
-
-#include "common/require.hpp"
-#include "fault/injector.hpp"
-#include "linalg/vector_ops.hpp"
-
 namespace parma::linalg {
-
-namespace {
-
-// Shared CG body over any matrix with multiply(vector); `diag` is the main
-// diagonal for the Jacobi preconditioner.
-template <typename Matrix>
-IterativeResult cg_impl(const Matrix& a, std::vector<Real> diag,
-                        const std::vector<Real>& b, const IterativeOptions& options,
-                        std::vector<Real> x0) {
-  PARMA_REQUIRE(a.rows() == a.cols(), "CG needs a square matrix");
-  PARMA_REQUIRE(static_cast<Index>(b.size()) == a.rows(), "CG rhs size mismatch");
-  const std::size_t n = b.size();
-
-  IterativeResult result;
-  result.x = x0.empty() ? std::vector<Real>(n, 0.0) : std::move(x0);
-  PARMA_REQUIRE(result.x.size() == n, "CG x0 size mismatch");
-
-  // Chaos hook: a fired kCgNonConvergence point reports the seed iterate as
-  // non-converged with a full residual, exactly what an ill-conditioned
-  // system stalling at max_iterations looks like to the caller.
-  if (fault::should_fire(fault::Point::kCgNonConvergence)) {
-    result.relative_residual = 1.0;
-    result.converged = false;
-    return result;
-  }
-
-  const Real norm_b = norm2(b);
-  if (norm_b == 0.0) {
-    result.x.assign(n, 0.0);
-    result.converged = true;
-    return result;
-  }
-
-  // Jacobi preconditioner M = diag(A); fall back to identity on zero diagonal
-  // (e.g. a grounded Laplacian row removed elsewhere).
-  std::vector<Real> inv_diag = std::move(diag);
-  for (Real& d : inv_diag) d = (d != 0.0) ? 1.0 / d : 1.0;
-
-  std::vector<Real> r = subtract(b, a.multiply(result.x));
-  std::vector<Real> z(n);
-  for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
-  std::vector<Real> p = z;
-  Real rz = dot(r, z);
-
-  for (Index it = 0; it < options.max_iterations; ++it) {
-    result.relative_residual = norm2(r) / norm_b;
-    if (result.relative_residual <= options.tolerance) {
-      result.converged = true;
-      result.iterations = it;
-      return result;
-    }
-    const std::vector<Real> ap = a.multiply(p);
-    const Real pap = dot(p, ap);
-    if (pap <= 0.0) {
-      // Indefinite or numerically null direction: stop with current iterate.
-      result.iterations = it;
-      return result;
-    }
-    const Real alpha = rz / pap;
-    axpy(alpha, p, result.x);
-    axpy(-alpha, ap, r);
-    for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
-    const Real rz_new = dot(r, z);
-    const Real beta = rz_new / rz;
-    rz = rz_new;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  result.iterations = options.max_iterations;
-  result.relative_residual = norm2(r) / norm_b;
-  result.converged = result.relative_residual <= options.tolerance;
-  return result;
-}
-
-}  // namespace
 
 IterativeResult conjugate_gradient(const CsrMatrix& a, const std::vector<Real>& b,
                                    const IterativeOptions& options,
                                    std::vector<Real> x0) {
-  PARMA_REQUIRE(a.rows() == a.cols(), "CG needs a square matrix");
-  return cg_impl(a, a.diagonal(), b, options, std::move(x0));
-}
-
-IterativeResult conjugate_gradient(const DenseMatrix& a, const std::vector<Real>& b,
-                                   const IterativeOptions& options,
-                                   std::vector<Real> x0) {
-  PARMA_REQUIRE(a.rows() == a.cols(), "CG needs a square matrix");
-  std::vector<Real> diag(static_cast<std::size_t>(a.rows()));
-  for (Index i = 0; i < a.rows(); ++i) diag[static_cast<std::size_t>(i)] = a(i, i);
-  return cg_impl(a, std::move(diag), b, options, std::move(x0));
-}
-
-IterativeResult conjugate_gradient_mixed(const CsrMatrix& a, const std::vector<Real>& b,
-                                         const IterativeOptions& options,
-                                         MixedPrecisionWorkspace& ws,
-                                         std::vector<Real> x0) {
-  PARMA_REQUIRE(a.rows() == a.cols(), "CG needs a square matrix");
-  PARMA_REQUIRE(static_cast<Index>(b.size()) == a.rows(), "CG rhs size mismatch");
-  const std::size_t n = b.size();
-
-  IterativeResult result;
-  result.x = x0.empty() ? std::vector<Real>(n, 0.0) : std::move(x0);
-  PARMA_REQUIRE(result.x.size() == n, "CG x0 size mismatch");
-
-  const Real norm_b = norm2(b);
-  if (norm_b == 0.0) {
-    result.x.assign(n, 0.0);
-    result.converged = true;
-    return result;
-  }
-
-  // Float shadow of A's values (pattern arrays are shared with the double
-  // matrix) and the float Jacobi preconditioner.
-  const auto& values = a.values();
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-  ws.values.resize(values.size());
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    ws.values[k] = static_cast<float>(values[k]);
-  }
-  ws.inv_diagf.assign(n, 1.0f);
-  for (Index r = 0; r < a.rows(); ++r) {
-    for (Index k = row_ptr[static_cast<std::size_t>(r)];
-         k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-      if (col_idx[static_cast<std::size_t>(k)] == r) {
-        const float d = ws.values[static_cast<std::size_t>(k)];
-        ws.inv_diagf[static_cast<std::size_t>(r)] = (d != 0.0f) ? 1.0f / d : 1.0f;
-        break;
-      }
-    }
-  }
-  const auto spmv_float = [&](const std::vector<float>& x, std::vector<float>& y) {
-    y.resize(n);
-    for (Index r = 0; r < a.rows(); ++r) {
-      float sum = 0.0f;
-      for (Index k = row_ptr[static_cast<std::size_t>(r)];
-           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-        sum += ws.values[static_cast<std::size_t>(k)] *
-               x[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)])];
-      }
-      y[static_cast<std::size_t>(r)] = sum;
-    }
-  };
-
-  // Outer double iterative refinement: r = b - A x in double, one float CG
-  // round on the scaled residual, x += correction. The float inner tolerance
-  // is bounded below by single-precision resolution; the DOUBLE residual is
-  // the only convergence authority.
-  constexpr Index kMaxOuter = 50;
-  const Real inner_tolerance = std::max(options.tolerance, Real{1e-6});
-  Index inner_total = 0;
-  Real previous_rel = std::numeric_limits<Real>::infinity();
-  for (Index outer = 0; outer < kMaxOuter; ++outer) {
-    a.multiply_into(result.x, ws.ax);
-    ws.residual.resize(n);
-    for (std::size_t i = 0; i < n; ++i) ws.residual[i] = b[i] - ws.ax[i];
-    const Real norm_r = norm2(ws.residual);
-    result.relative_residual = norm_r / norm_b;
-    if (result.relative_residual <= options.tolerance) {
-      result.converged = true;
-      result.iterations = inner_total;
-      return result;
-    }
-    // Refinement must make real progress per round or float resolution has
-    // been exhausted -- bail to the double fallback instead of spinning.
-    if (!(result.relative_residual < 0.5 * previous_rel)) break;
-    previous_rel = result.relative_residual;
-    if (inner_total >= options.max_iterations) break;
-
-    // Inner float CG on A c = r / ||r|| (unit-scaled into float range).
-    ws.bf.resize(n);
-    const Real inv_norm_r = 1.0 / norm_r;
-    for (std::size_t i = 0; i < n; ++i) {
-      ws.bf[i] = static_cast<float>(ws.residual[i] * inv_norm_r);
-    }
-    ws.xf.assign(n, 0.0f);
-    ws.rf = ws.bf;
-    ws.zf.resize(n);
-    for (std::size_t i = 0; i < n; ++i) ws.zf[i] = ws.inv_diagf[i] * ws.rf[i];
-    ws.pf = ws.zf;
-    float rz = 0.0f;
-    for (std::size_t i = 0; i < n; ++i) rz += ws.rf[i] * ws.zf[i];
-    const Index inner_budget = options.max_iterations - inner_total;
-    bool inner_ok = false;
-    for (Index it = 0; it < inner_budget; ++it) {
-      float rr = 0.0f;
-      for (std::size_t i = 0; i < n; ++i) rr += ws.rf[i] * ws.rf[i];
-      ++inner_total;
-      if (std::sqrt(static_cast<Real>(rr)) <= inner_tolerance) {
-        inner_ok = true;
-        break;
-      }
-      spmv_float(ws.pf, ws.apf);
-      float pap = 0.0f;
-      for (std::size_t i = 0; i < n; ++i) pap += ws.pf[i] * ws.apf[i];
-      if (!(pap > 0.0f) || !std::isfinite(pap)) {
-        inner_ok = it > 0;  // keep partial progress; a first-step breakdown is fatal
-        break;
-      }
-      const float alpha = rz / pap;
-      for (std::size_t i = 0; i < n; ++i) ws.xf[i] += alpha * ws.pf[i];
-      for (std::size_t i = 0; i < n; ++i) ws.rf[i] -= alpha * ws.apf[i];
-      for (std::size_t i = 0; i < n; ++i) ws.zf[i] = ws.inv_diagf[i] * ws.rf[i];
-      float rz_new = 0.0f;
-      for (std::size_t i = 0; i < n; ++i) rz_new += ws.rf[i] * ws.zf[i];
-      const float beta = rz_new / rz;
-      rz = rz_new;
-      for (std::size_t i = 0; i < n; ++i) ws.pf[i] = ws.zf[i] + beta * ws.pf[i];
-      inner_ok = true;
-    }
-    if (!inner_ok) break;
-    bool finite = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Real c = norm_r * static_cast<Real>(ws.xf[i]);
-      if (!std::isfinite(c)) {
-        finite = false;
-        break;
-      }
-      result.x[i] += c;
-    }
-    if (!finite) break;
-  }
-
-  // Accuracy gate missed: report the final double residual, not converged.
-  a.multiply_into(result.x, ws.ax);
-  ws.residual.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ws.residual[i] = b[i] - ws.ax[i];
-  result.relative_residual = norm2(ws.residual) / norm_b;
-  result.converged = result.relative_residual <= options.tolerance;
-  result.iterations = inner_total;
-  return result;
-}
-
-IterativeResult gauss_seidel(const CsrMatrix& a, const std::vector<Real>& b,
-                             const IterativeOptions& options, std::vector<Real> x0) {
-  PARMA_REQUIRE(a.rows() == a.cols(), "Gauss-Seidel needs a square matrix");
-  PARMA_REQUIRE(static_cast<Index>(b.size()) == a.rows(), "rhs size mismatch");
-  const std::size_t n = b.size();
-
-  IterativeResult result;
-  result.x = x0.empty() ? std::vector<Real>(n, 0.0) : std::move(x0);
-  PARMA_REQUIRE(result.x.size() == n, "x0 size mismatch");
-
-  const Real norm_b = norm2(b);
-  if (norm_b == 0.0) {
-    result.x.assign(n, 0.0);
-    result.converged = true;
-    return result;
-  }
-
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-  const auto& values = a.values();
-
-  for (Index it = 0; it < options.max_iterations; ++it) {
-    for (std::size_t r = 0; r < n; ++r) {
-      Real diag = 0.0;
-      Real sum = b[r];
-      for (Index k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        const auto c = static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)]);
-        const Real v = values[static_cast<std::size_t>(k)];
-        if (c == r) {
-          diag = v;
-        } else {
-          sum -= v * result.x[c];
-        }
-      }
-      if (diag == 0.0) throw NumericalError("Gauss-Seidel: zero diagonal entry");
-      result.x[r] = sum / diag;
-    }
-    const std::vector<Real> residual = subtract(b, a.multiply(result.x));
-    result.relative_residual = norm2(residual) / norm_b;
-    if (result.relative_residual <= options.tolerance) {
-      result.converged = true;
-      result.iterations = it + 1;
-      return result;
-    }
-  }
-  result.iterations = options.max_iterations;
-  return result;
+  CgWorkspace workspace;
+  return conjugate_gradient_with(SerialCsrOperator(a), b, options, workspace, std::move(x0));
 }
 
 }  // namespace parma::linalg

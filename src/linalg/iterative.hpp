@@ -1,13 +1,9 @@
-// Iterative solvers for sparse symmetric systems: Jacobi-preconditioned
-// conjugate gradient and Gauss-Seidel sweeps.
+// Preconditioned conjugate gradient for sparse symmetric systems.
 //
-// Two CG surfaces exist:
-//  * conjugate_gradient(...)       -- the historical allocate-per-call entry;
-//  * conjugate_gradient_with(...)  -- the workspace template below: zero
-//    allocations per iteration (in-place SpMV + ordered chunked dot
-//    reductions), same algorithm, bit-identical to the historical entry for
-//    any operator whose multiply/dot reproduce CsrMatrix::multiply and
-//    linalg::dot (asserted in tests/test_kernels.cpp).
+// conjugate_gradient_with(...) is the one CG body: a workspace template over
+// any linear operator, zero allocations per iteration (in-place SpMV +
+// ordered chunked dot reductions). conjugate_gradient(...) is a convenience
+// wrapper that runs it serially on a CsrMatrix with a fresh workspace.
 #pragma once
 
 #include <cmath>
@@ -15,7 +11,6 @@
 #include <vector>
 
 #include "fault/injector.hpp"
-#include "linalg/dense_matrix.hpp"
 #include "linalg/preconditioner.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/vector_ops.hpp"
@@ -25,13 +20,6 @@ namespace parma::linalg {
 struct IterativeOptions {
   Index max_iterations = 10000;
   Real tolerance = 1e-10;  ///< relative residual ||r|| / ||b||
-  /// Opt-in mixed-precision path (sparse workspace ladder only): the inner CG
-  /// runs on a float copy of A inside a double iterative-refinement outer
-  /// loop, and the result only counts as converged if the DOUBLE residual
-  /// meets `tolerance` (the accuracy gate). On a miss the caller falls back
-  /// to the full-double solve, so enabling this can cost time but never
-  /// accuracy. Off by default; changes numerics when on (not bit-identical).
-  bool mixed_precision = false;
 };
 
 struct IterativeResult {
@@ -43,21 +31,10 @@ struct IterativeResult {
 
 /// Conjugate gradient for symmetric positive-(semi)definite A, with Jacobi
 /// (diagonal) preconditioning. `x0` seeds the iteration (zeros if empty).
+/// Serial conjugate_gradient_with over SerialCsrOperator.
 IterativeResult conjugate_gradient(const CsrMatrix& a, const std::vector<Real>& b,
                                    const IterativeOptions& options = {},
                                    std::vector<Real> x0 = {});
-
-/// Dense overload (same algorithm and preconditioning); lets the solver
-/// fallback ladder drive the LM normal equations through the identical
-/// CG -> Tikhonov -> dense escalation as the sparse full-system path.
-IterativeResult conjugate_gradient(const DenseMatrix& a, const std::vector<Real>& b,
-                                   const IterativeOptions& options = {},
-                                   std::vector<Real> x0 = {});
-
-/// Gauss-Seidel relaxation; converges for diagonally-dominant / SPD systems.
-IterativeResult gauss_seidel(const CsrMatrix& a, const std::vector<Real>& b,
-                             const IterativeOptions& options = {},
-                             std::vector<Real> x0 = {});
 
 /// Preallocated scratch for conjugate_gradient_with: one resize when the
 /// problem size first appears, zero allocations per CG iteration thereafter.
@@ -85,18 +62,13 @@ struct CgWorkspace {
 ///   void diagonal_into(std::vector<Real>& d) const;
 ///   Real dot(const std::vector<Real>&, const std::vector<Real>&,
 ///            std::vector<Real>& partials) const;
-/// The body mirrors the historical cg_impl operation for operation; an Op
-/// whose multiply_into/dot match CsrMatrix::multiply and linalg::dot (e.g.
-/// SerialCsrOperator below, or the executor-backed operator in
-/// solver/system_kernels.hpp, whose ordered reductions produce the same bits
-/// as the serial ones) makes the two entries bit-identical.
+/// Operators whose multiply_into/dot produce the same bits (SerialCsrOperator
+/// below, or the executor-backed operator in solver/system_kernels.hpp, whose
+/// ordered reductions match the serial ones) give bit-identical solves.
 ///
-/// `precond` is the preconditioner seam: null runs the historical inline
-/// Jacobi arithmetic verbatim (bit-identical to every pre-preconditioner
-/// release and to the allocate-per-call entry); non-null routes z = M⁻¹ r
-/// through Preconditioner::apply instead. A JacobiPreconditioner refreshed
-/// from the operator's diagonal reproduces the null path bit for bit (its
-/// apply performs the same multiply) -- asserted in tests.
+/// `precond` is the preconditioner seam: null runs inline Jacobi (z = r /
+/// diag(A), a zero diagonal preconditions with 1); non-null routes z = M⁻¹ r
+/// through Preconditioner::apply instead.
 template <typename Op>
 IterativeResult conjugate_gradient_with(const Op& op, const std::vector<Real>& b,
                                         const IterativeOptions& options, CgWorkspace& ws,
@@ -110,7 +82,9 @@ IterativeResult conjugate_gradient_with(const Op& op, const std::vector<Real>& b
   result.x = x0.empty() ? std::vector<Real>(n, 0.0) : std::move(x0);
   PARMA_REQUIRE(result.x.size() == n, "CG x0 size mismatch");
 
-  // Same chaos hook as the allocate-per-call entry (see iterative.cpp).
+  // Chaos hook: a fired kCgNonConvergence point reports the seed iterate as
+  // non-converged with a full residual, exactly what an ill-conditioned
+  // system stalling at max_iterations looks like to the caller.
   if (fault::should_fire(fault::Point::kCgNonConvergence)) {
     result.relative_residual = 1.0;
     result.converged = false;
@@ -152,6 +126,7 @@ IterativeResult conjugate_gradient_with(const Op& op, const std::vector<Real>& b
     op.multiply_into(ws.p, ws.ap);
     const Real pap = op.dot(ws.p, ws.ap, ws.partials);
     if (pap <= 0.0) {
+      // Indefinite or numerically null direction: stop with current iterate.
       result.iterations = it;
       return result;
     }
@@ -170,36 +145,13 @@ IterativeResult conjugate_gradient_with(const Op& op, const std::vector<Real>& b
   return result;
 }
 
-/// Unpreconditioned-seam overload: the historical signature, inline Jacobi.
+/// Inline-Jacobi overload (no preconditioner object).
 template <typename Op>
 IterativeResult conjugate_gradient_with(const Op& op, const std::vector<Real>& b,
                                         const IterativeOptions& options,
                                         CgWorkspace& ws, std::vector<Real> x0 = {}) {
   return conjugate_gradient_with(op, b, options, ws, nullptr, std::move(x0));
 }
-
-/// Scratch for conjugate_gradient_mixed: the float shadow of A's values plus
-/// the float CG vectors and the double refinement buffers. Reused across
-/// solves; sized on first use.
-struct MixedPrecisionWorkspace {
-  std::vector<float> values;    ///< float copy of A's values
-  std::vector<float> xf, rf, zf, pf, apf, inv_diagf, bf;
-  std::vector<Real> residual;   ///< double outer residual
-  std::vector<Real> ax;         ///< double SpMV scratch
-};
-
-/// Mixed-precision CG: float SpMV inner solves wrapped in a double
-/// iterative-refinement outer loop. Each outer round solves A c ≈ r/||r|| in
-/// float (Jacobi-preconditioned, the residual pre-scaled into float range)
-/// and applies x += ||r|| c in double; the loop ends when the DOUBLE residual
-/// meets options.tolerance. converged=false whenever that gate is missed
-/// (stalled refinement, float breakdown, or iteration budget) -- callers fall
-/// back to the full-double path, so accuracy never regresses.
-/// `iterations` counts inner float CG iterations (comparable to plain CG).
-IterativeResult conjugate_gradient_mixed(const CsrMatrix& a, const std::vector<Real>& b,
-                                         const IterativeOptions& options,
-                                         MixedPrecisionWorkspace& ws,
-                                         std::vector<Real> x0 = {});
 
 /// Serial CsrMatrix adapter for conjugate_gradient_with.
 class SerialCsrOperator {
@@ -233,29 +185,6 @@ class SerialCsrOperator {
 
  private:
   const CsrMatrix* a_;
-};
-
-/// Dense adapter for conjugate_gradient_with (the LM normal-equations path).
-class SerialDenseOperator {
- public:
-  explicit SerialDenseOperator(const DenseMatrix& a) : a_(&a) {
-    PARMA_REQUIRE(a.rows() == a.cols(), "CG needs a square matrix");
-  }
-  [[nodiscard]] Index rows() const { return a_->rows(); }
-  void multiply_into(const std::vector<Real>& x, std::vector<Real>& y) const {
-    a_->multiply_into(x, y);
-  }
-  void diagonal_into(std::vector<Real>& d) const {
-    d.resize(static_cast<std::size_t>(a_->rows()));
-    for (Index i = 0; i < a_->rows(); ++i) d[static_cast<std::size_t>(i)] = (*a_)(i, i);
-  }
-  [[nodiscard]] Real dot(const std::vector<Real>& a, const std::vector<Real>& b,
-                         std::vector<Real>& partials) const {
-    return ordered_dot(a, b, partials);
-  }
-
- private:
-  const DenseMatrix* a_;
 };
 
 }  // namespace parma::linalg

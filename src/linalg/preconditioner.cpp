@@ -9,14 +9,9 @@ namespace parma::linalg {
 
 namespace {
 
-// The inline-Jacobi guard conjugate_gradient_with has always used: a zero
-// diagonal preconditions with 1 instead of dividing by zero.
+// The inline-Jacobi guard conjugate_gradient_with uses: a zero diagonal
+// preconditions with 1 instead of dividing by zero.
 inline Real guarded_inverse(Real d) { return (d != 0.0) ? 1.0 / d : 1.0; }
-
-std::vector<Real> csr_diagonal(const CsrMatrix& a) {
-  PARMA_REQUIRE(a.rows() == a.cols(), "preconditioner needs a square matrix");
-  return a.diagonal();
-}
 
 // Block id of row `i` given contiguous block boundaries.
 Index block_of(const std::vector<Index>& block_ptr, Index i) {
@@ -25,44 +20,29 @@ Index block_of(const std::vector<Index>& block_ptr, Index i) {
   return static_cast<Index>(it - block_ptr.begin()) - 1;
 }
 
-}  // namespace
-
-const char* preconditioner_kind_name(PreconditionerKind kind) {
-  switch (kind) {
-    case PreconditionerKind::kJacobi: return "jacobi";
-    case PreconditionerKind::kIdentity: return "identity";
-    case PreconditionerKind::kBlockJacobi: return "block_jacobi";
-    case PreconditionerKind::kIc0: return "ic0";
+// Packed-storage offsets of the blocks (each block starts on a cache line);
+// returns the total packed size.
+Index layout_blocks(const std::vector<Index>& block_ptr, std::vector<Index>& offsets) {
+  PARMA_REQUIRE(block_ptr.size() >= 2 && block_ptr.front() == 0, "block_ptr must start at 0");
+  const Index blocks = static_cast<Index>(block_ptr.size()) - 1;
+  offsets.resize(static_cast<std::size_t>(blocks));
+  std::size_t offset = 0;
+  for (Index b = 0; b < blocks; ++b) {
+    const Index bs = block_ptr[static_cast<std::size_t>(b) + 1] -
+                     block_ptr[static_cast<std::size_t>(b)];
+    PARMA_REQUIRE(bs > 0, "block_ptr must be strictly increasing");
+    offsets[static_cast<std::size_t>(b)] = static_cast<Index>(offset);
+    offset = align_up_elements<Real>(offset + static_cast<std::size_t>(bs) *
+                                                  static_cast<std::size_t>(bs));
   }
-  return "?";
+  return static_cast<Index>(offset);
 }
+
+}  // namespace
 
 void IdentityPreconditioner::apply(const std::vector<Real>& r, std::vector<Real>& z) const {
   z.resize(r.size());
   std::copy(r.begin(), r.end(), z.begin());
-}
-
-void JacobiPreconditioner::refresh(const CsrMatrix& a) {
-  refresh_from_diagonal(csr_diagonal(a));
-}
-
-void JacobiPreconditioner::refresh(const DenseMatrix& a) {
-  PARMA_REQUIRE(a.rows() == a.cols(), "preconditioner needs a square matrix");
-  inv_diag_.resize(static_cast<std::size_t>(a.rows()));
-  for (Index i = 0; i < a.rows(); ++i) {
-    inv_diag_[static_cast<std::size_t>(i)] = guarded_inverse(a(i, i));
-  }
-}
-
-void JacobiPreconditioner::refresh_from_diagonal(const std::vector<Real>& diag) {
-  inv_diag_.resize(diag.size());
-  for (std::size_t i = 0; i < diag.size(); ++i) inv_diag_[i] = guarded_inverse(diag[i]);
-}
-
-void JacobiPreconditioner::apply(const std::vector<Real>& r, std::vector<Real>& z) const {
-  PARMA_REQUIRE(r.size() == inv_diag_.size(), "Jacobi preconditioner size mismatch");
-  z.resize(r.size());
-  for (std::size_t i = 0; i < r.size(); ++i) z[i] = inv_diag_[i] * r[i];
 }
 
 std::shared_ptr<const BlockJacobiPreconditioner::Plan> BlockJacobiPreconditioner::Plan::analyze(
@@ -71,21 +51,9 @@ std::shared_ptr<const BlockJacobiPreconditioner::Plan> BlockJacobiPreconditioner
   auto plan = std::make_shared<Plan>();
   plan->block_ptr = std::move(block_ptr);
   const auto& bp = plan->block_ptr;
-  PARMA_REQUIRE(bp.size() >= 2 && bp.front() == 0, "block_ptr must start at 0");
+  plan->packed_size = layout_blocks(bp, plan->packed_offset);
   const Index rows = static_cast<Index>(row_ptr.size()) - 1;
   PARMA_REQUIRE(bp.back() == rows, "block_ptr must end at the matrix dimension");
-
-  const Index blocks = static_cast<Index>(bp.size()) - 1;
-  plan->packed_offset.resize(static_cast<std::size_t>(blocks));
-  std::size_t offset = 0;
-  for (Index b = 0; b < blocks; ++b) {
-    const Index bs = bp[static_cast<std::size_t>(b) + 1] - bp[static_cast<std::size_t>(b)];
-    PARMA_REQUIRE(bs > 0, "block_ptr must be strictly increasing");
-    plan->packed_offset[static_cast<std::size_t>(b)] = static_cast<Index>(offset);
-    offset = align_up_elements<Real>(offset + static_cast<std::size_t>(bs) *
-                                                  static_cast<std::size_t>(bs));
-  }
-  plan->packed_size = static_cast<Index>(offset);
 
   // Lower-triangle scatter map: every A slot (i, c) with c and i in the same
   // block and c <= i lands at its packed row-major block-local position.
@@ -112,31 +80,14 @@ BlockJacobiPreconditioner::BlockJacobiPreconditioner(std::shared_ptr<const Plan>
   block_ptr_ = plan_->block_ptr;
   packed_offset_ = plan_->packed_offset;
   packed_.resize(static_cast<std::size_t>(plan_->packed_size), 0.0);
-  init_offsets();
+  diag_.assign(static_cast<std::size_t>(block_ptr_.back()), 0.0);
+  diag_only_.assign(block_ptr_.size() - 1, 0);
 }
 
 BlockJacobiPreconditioner::BlockJacobiPreconditioner(std::vector<Index> block_ptr)
     : block_ptr_(std::move(block_ptr)) {
-  PARMA_REQUIRE(block_ptr_.size() >= 2 && block_ptr_.front() == 0,
-                "block_ptr must start at 0");
-  const Index blocks = static_cast<Index>(block_ptr_.size()) - 1;
-  packed_offset_.resize(static_cast<std::size_t>(blocks));
-  std::size_t offset = 0;
-  for (Index b = 0; b < blocks; ++b) {
-    const Index bs = block_ptr_[static_cast<std::size_t>(b) + 1] -
-                     block_ptr_[static_cast<std::size_t>(b)];
-    PARMA_REQUIRE(bs > 0, "block_ptr must be strictly increasing");
-    packed_offset_[static_cast<std::size_t>(b)] = static_cast<Index>(offset);
-    offset = align_up_elements<Real>(offset + static_cast<std::size_t>(bs) *
-                                                  static_cast<std::size_t>(bs));
-  }
-  packed_.resize(offset, 0.0);
-  init_offsets();
-}
-
-void BlockJacobiPreconditioner::init_offsets() {
-  const std::size_t n = static_cast<std::size_t>(block_ptr_.back());
-  diag_.assign(n, 0.0);
+  packed_.resize(static_cast<std::size_t>(layout_blocks(block_ptr_, packed_offset_)), 0.0);
+  diag_.assign(static_cast<std::size_t>(block_ptr_.back()), 0.0);
   diag_only_.assign(block_ptr_.size() - 1, 0);
 }
 
@@ -247,158 +198,6 @@ void BlockJacobiPreconditioner::apply(const std::vector<Real>& r, std::vector<Re
       Real s = zb[li];
       for (Index k = li + 1; k < bs; ++k) s -= m[k * bs + li] * zb[k];
       zb[li] = s / m[li * bs + li];
-    }
-  }
-}
-
-std::shared_ptr<const Ic0Preconditioner::Pattern> Ic0Preconditioner::Pattern::analyze(
-    Index rows, const std::vector<Index>& a_row_ptr, const std::vector<Index>& a_col_idx) {
-  auto pattern = std::make_shared<Pattern>();
-  pattern->rows = rows;
-  pattern->row_ptr.resize(static_cast<std::size_t>(rows) + 1);
-  pattern->row_ptr[0] = 0;
-  for (Index i = 0; i < rows; ++i) {
-    bool saw_diag = false;
-    for (Index s = a_row_ptr[static_cast<std::size_t>(i)];
-         s < a_row_ptr[static_cast<std::size_t>(i) + 1]; ++s) {
-      const Index c = a_col_idx[static_cast<std::size_t>(s)];
-      if (c > i) break;  // columns ascend; the rest is upper-triangular
-      pattern->col_idx.push_back(c);
-      pattern->a_slot.push_back(s);
-      saw_diag = saw_diag || c == i;
-    }
-    PARMA_REQUIRE(saw_diag, "IC0 needs every diagonal structurally present");
-    pattern->row_ptr[static_cast<std::size_t>(i) + 1] =
-        static_cast<Index>(pattern->col_idx.size());
-  }
-  pattern->diag_slot.resize(static_cast<std::size_t>(rows));
-  for (Index i = 0; i < rows; ++i) {
-    // Ascending columns put the diagonal last in its row.
-    pattern->diag_slot[static_cast<std::size_t>(i)] =
-        pattern->row_ptr[static_cast<std::size_t>(i) + 1] - 1;
-  }
-  return pattern;
-}
-
-Ic0Preconditioner::Ic0Preconditioner(std::shared_ptr<const Pattern> pattern)
-    : pattern_(std::move(pattern)) {
-  PARMA_REQUIRE(pattern_ != nullptr, "Ic0Preconditioner needs a pattern");
-  a_lower_.resize(pattern_->col_idx.size());
-  l_values_.resize(pattern_->col_idx.size());
-  inv_diag_.resize(static_cast<std::size_t>(pattern_->rows));
-  y_.resize(static_cast<std::size_t>(pattern_->rows));
-}
-
-Ic0Preconditioner::Ic0Preconditioner(const CsrMatrix& a)
-    : Ic0Preconditioner(Pattern::analyze(a.rows(), a.row_ptr(), a.col_idx())) {
-  PARMA_REQUIRE(a.rows() == a.cols(), "preconditioner needs a square matrix");
-}
-
-void Ic0Preconditioner::refresh(const CsrMatrix& a) {
-  PARMA_REQUIRE(a.rows() == pattern_->rows, "IC0 preconditioner size mismatch");
-  const auto& avals = a.values();
-  for (std::size_t k = 0; k < a_lower_.size(); ++k) {
-    a_lower_[k] = avals[static_cast<std::size_t>(pattern_->a_slot[k])];
-  }
-  Real max_abs_diag = 0.0;
-  for (Index i = 0; i < pattern_->rows; ++i) {
-    max_abs_diag = std::max(
-        max_abs_diag, std::abs(a_lower_[static_cast<std::size_t>(
-                          pattern_->diag_slot[static_cast<std::size_t>(i)])]));
-  }
-  // Deterministic shift ladder: unshifted first, then A + αI with α growing
-  // 10x from 1e-8 * max|diag|. Same values in, same factor bits out.
-  const Real base = std::max(Real{1e-8} * max_abs_diag, Real{1e-300});
-  const Real shifts[] = {0.0, base, 10.0 * base, 100.0 * base, 1000.0 * base};
-  jacobi_fallback_ = false;
-  for (const Real shift : shifts) {
-    if (try_factor(shift)) {
-      shift_ = shift;
-      return;
-    }
-  }
-  jacobi_fallback_ = true;
-  shift_ = 0.0;
-  for (Index i = 0; i < pattern_->rows; ++i) {
-    inv_diag_[static_cast<std::size_t>(i)] = guarded_inverse(a_lower_[static_cast<std::size_t>(
-        pattern_->diag_slot[static_cast<std::size_t>(i)])]);
-  }
-}
-
-bool Ic0Preconditioner::try_factor(Real shift) {
-  const Pattern& p = *pattern_;
-  const Index* cols = p.col_idx.data();
-  Real* l = l_values_.data();
-  std::copy(a_lower_.begin(), a_lower_.end(), l_values_.begin());
-  for (Index i = 0; i < p.rows; ++i) {
-    l[p.diag_slot[static_cast<std::size_t>(i)]] += shift;
-  }
-  for (Index i = 0; i < p.rows; ++i) {
-    const Index begin_i = p.row_ptr[static_cast<std::size_t>(i)];
-    const Index end_i = p.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (Index s = begin_i; s < end_i; ++s) {
-      const Index k = cols[s];
-      // Pattern-restricted dot of L(i, :k) and L(k, :k): two-pointer merge
-      // over the sorted column lists.
-      Real sum = 0.0;
-      Index pi = begin_i;
-      Index pk = p.row_ptr[static_cast<std::size_t>(k)];
-      const Index pi_end = s;  // cols of row i strictly below k
-      const Index pk_end = p.diag_slot[static_cast<std::size_t>(k)];
-      while (pi < pi_end && pk < pk_end) {
-        const Index ci = cols[pi];
-        const Index ck = cols[pk];
-        if (ci == ck) {
-          sum += l[pi] * l[pk];
-          ++pi;
-          ++pk;
-        } else if (ci < ck) {
-          ++pi;
-        } else {
-          ++pk;
-        }
-      }
-      if (k < i) {
-        l[s] = (l[s] - sum) / l[pk_end];  // pk_end is L(k, k)'s slot
-      } else {
-        const Real d = l[s] - sum;
-        if (!(d > 0.0) || !std::isfinite(d)) return false;
-        l[s] = std::sqrt(d);
-      }
-    }
-  }
-  return true;
-}
-
-void Ic0Preconditioner::apply(const std::vector<Real>& r, std::vector<Real>& z) const {
-  const Pattern& p = *pattern_;
-  PARMA_REQUIRE(static_cast<Index>(r.size()) == p.rows, "IC0 preconditioner size mismatch");
-  z.resize(r.size());
-  if (jacobi_fallback_) {
-    for (std::size_t i = 0; i < r.size(); ++i) z[i] = inv_diag_[i] * r[i];
-    return;
-  }
-  const Index* cols = p.col_idx.data();
-  const Real* l = l_values_.data();
-  // Forward solve L y = r.
-  y_.resize(r.size());
-  for (Index i = 0; i < p.rows; ++i) {
-    Real s = r[static_cast<std::size_t>(i)];
-    const Index diag = p.diag_slot[static_cast<std::size_t>(i)];
-    for (Index k = p.row_ptr[static_cast<std::size_t>(i)]; k < diag; ++k) {
-      s -= l[k] * y_[static_cast<std::size_t>(cols[k])];
-    }
-    y_[static_cast<std::size_t>(i)] = s / l[diag];
-  }
-  // Backward solve Lᵀ z = y, column-oriented: once z_i is final, scatter its
-  // L(i, k) z_i contributions up into the still-pending rows k < i.
-  std::copy(y_.begin(), y_.end(), z.begin());
-  for (Index i = p.rows - 1; i >= 0; --i) {
-    const Index diag = p.diag_slot[static_cast<std::size_t>(i)];
-    const Real zi = z[static_cast<std::size_t>(i)] / l[diag];
-    z[static_cast<std::size_t>(i)] = zi;
-    for (Index k = p.row_ptr[static_cast<std::size_t>(i)]; k < diag; ++k) {
-      z[static_cast<std::size_t>(cols[k])] -= l[k] * zi;
     }
   }
 }

@@ -2,32 +2,29 @@
 //
 // CG on the Gauss-Newton normal equations JᵀJ δ = -Jᵀr is the solve-phase
 // bottleneck once assembly is symbolic/numeric split: iteration count scales
-// with the conditioning of JᵀJ, which degrades with device size. Each
-// preconditioner here follows the same symbolic/numeric split as the system
-// kernels:
+// with the conditioning of JᵀJ, which degrades with device size. The
+// block-Jacobi preconditioner follows the same symbolic/numeric split as the
+// system kernels:
 //
-//   * the STRUCTURE (block boundaries, scatter maps, the IC0 fill pattern)
-//     is analyzed once per sparsity pattern and shared across solves --
-//     solver::SystemSymbolic::analyze precomputes these plans so they ride
-//     the shape-keyed core::FormationCache;
+//   * the STRUCTURE (block boundaries, the CSR-slot scatter map) is analyzed
+//     once per sparsity pattern and shared across solves --
+//     solver::SystemSymbolic::analyze precomputes the plan so it rides the
+//     shape-keyed core::FormationCache;
 //   * the NUMBERS are refreshed in-pattern from the current matrix values
 //     each outer iteration, with no allocation after the first refresh.
 //
-// Kinds:
-//   kJacobi       diag(A)^-1 -- the historical inline default of
-//                 conjugate_gradient_with. Callers represent it as a null
-//                 Preconditioner*, which keeps that path bit-identical to
-//                 every pre-preconditioner release.
-//   kIdentity     M = I (plain CG). Useful as a baseline and for tests.
-//   kBlockJacobi  block-diagonal Cholesky over caller-chosen contiguous
-//                 blocks (per-electrode blocks for the full system: one block
-//                 per device row of resistances, one per endpoint pair's
-//                 voltage group). A block whose Cholesky breaks down falls
-//                 back to its diagonal, deterministically.
-//   kIc0          incomplete Cholesky on A's own lower-triangular pattern
-//                 (zero fill-in), with a deterministic diagonal-shift retry
-//                 ladder on breakdown and a Jacobi fallback if every shift
-//                 fails. Strongest iteration reduction, highest refresh cost.
+// Implementations:
+//   IdentityPreconditioner     M = I (plain CG): the unpreconditioned
+//                              baseline the benches measure against.
+//   BlockJacobiPreconditioner  block-diagonal Cholesky over caller-chosen
+//                              contiguous blocks (per-electrode blocks for the
+//                              full system: one block per device row of
+//                              resistances, one per endpoint pair's voltage
+//                              group). A block whose Cholesky breaks down
+//                              falls back to its diagonal, deterministically.
+//
+// Inline Jacobi (diag(A)⁻¹) needs no object: conjugate_gradient_with runs it
+// when handed a null Preconditioner*.
 //
 // apply() is deterministic and serial; the same inputs produce the same bits
 // on every backend, so preconditioned CG stays bit-identical across
@@ -46,15 +43,6 @@
 
 namespace parma::linalg {
 
-enum class PreconditionerKind : int {
-  kJacobi = 0,
-  kIdentity = 1,
-  kBlockJacobi = 2,
-  kIc0 = 3,
-};
-
-const char* preconditioner_kind_name(PreconditionerKind kind);
-
 /// Abstract application-side interface: z = M⁻¹ r. Implementations own their
 /// factors; refresh entry points are per-concrete-type (the numeric phase).
 /// apply must not allocate once the problem size has been seen.
@@ -62,33 +50,12 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
   virtual void apply(const std::vector<Real>& r, std::vector<Real>& z) const = 0;
-  [[nodiscard]] virtual PreconditionerKind kind() const = 0;
 };
 
 /// M = I: z = r. Stateless; needs no refresh.
 class IdentityPreconditioner final : public Preconditioner {
  public:
   void apply(const std::vector<Real>& r, std::vector<Real>& z) const override;
-  [[nodiscard]] PreconditionerKind kind() const override {
-    return PreconditionerKind::kIdentity;
-  }
-};
-
-/// M = diag(A): z_i = r_i / A_ii, with the exact zero-diagonal guard
-/// (d == 0 -> 1) the inline CG default has always used.
-class JacobiPreconditioner final : public Preconditioner {
- public:
-  void refresh(const CsrMatrix& a);
-  void refresh(const DenseMatrix& a);
-  void refresh_from_diagonal(const std::vector<Real>& diag);
-
-  void apply(const std::vector<Real>& r, std::vector<Real>& z) const override;
-  [[nodiscard]] PreconditionerKind kind() const override {
-    return PreconditionerKind::kJacobi;
-  }
-
- private:
-  std::vector<Real> inv_diag_;
 };
 
 /// Block-diagonal preconditioner over contiguous index blocks: each block is
@@ -114,34 +81,24 @@ class BlockJacobiPreconditioner final : public Preconditioner {
 
   /// Sparse-refresh construction: the plan drives refresh(const CsrMatrix&).
   explicit BlockJacobiPreconditioner(std::shared_ptr<const Plan> plan);
-  /// Structure-only construction (dense refresh or refresh_packed): no CSR
-  /// scatter map, just the block boundaries.
+  /// Structure-only construction for the dense refresh: no CSR scatter map,
+  /// just the block boundaries.
   explicit BlockJacobiPreconditioner(std::vector<Index> block_ptr);
 
   /// In-pattern numeric refresh: zero the packed blocks, scatter A's values
   /// through the plan, factor. Requires the Plan constructor.
   void refresh(const CsrMatrix& a);
-  /// Dense refresh (the LM damped-normal path): gathers blocks directly.
+  /// Dense refresh: gathers the blocks directly (the reference the sparse
+  /// plan is checked against).
   void refresh(const DenseMatrix& a);
-
-  /// Matrix-free refresh hook: callers that never form A (the large-n
-  /// operator path) fill packed_mut() -- lower triangles at packed_offset(),
-  /// row-major block-local -- then call factor_packed().
-  [[nodiscard]] const std::vector<Index>& block_ptr() const { return block_ptr_; }
-  [[nodiscard]] const std::vector<Index>& packed_offset() const { return packed_offset_; }
-  [[nodiscard]] AlignedVector<Real>& packed_mut() { return packed_; }
-  void factor_packed();
 
   /// Number of blocks whose Cholesky broke down and run on their diagonal.
   [[nodiscard]] Index fallback_blocks() const;
 
   void apply(const std::vector<Real>& r, std::vector<Real>& z) const override;
-  [[nodiscard]] PreconditionerKind kind() const override {
-    return PreconditionerKind::kBlockJacobi;
-  }
 
  private:
-  void init_offsets();
+  void factor_packed();
 
   std::vector<Index> block_ptr_;
   std::vector<Index> packed_offset_;
@@ -149,58 +106,6 @@ class BlockJacobiPreconditioner final : public Preconditioner {
   AlignedVector<Real> packed_;             ///< Cholesky factors after refresh
   std::vector<Real> diag_;                 ///< pre-factor diagonal (breakdown fallback)
   std::vector<std::uint8_t> diag_only_;    ///< per-block breakdown flag
-};
-
-/// Incomplete Cholesky with zero fill-in (IC0): L has exactly the
-/// lower-triangular pattern of A. The pattern (plus the L-slot -> A-slot
-/// gather map) is the symbolic phase; refresh() re-factors numerically in
-/// that fixed pattern. Breakdown (a non-positive pivot, typical for
-/// semi-definite normal equations) retries on A + αI with a deterministic
-/// shift ladder, then falls back to Jacobi if every shift fails.
-class Ic0Preconditioner final : public Preconditioner {
- public:
-  struct Pattern {
-    Index rows = 0;
-    std::vector<Index> row_ptr;    ///< lower-triangular pattern incl. diagonal
-    std::vector<Index> col_idx;    ///< ascending per row; diagonal last
-    std::vector<Index> diag_slot;  ///< slot of L(i, i)
-    std::vector<Index> a_slot;     ///< matching slot in A's full CSR
-
-    /// Requires every diagonal structurally present (kernel-built normal
-    /// matrices force it).
-    static std::shared_ptr<const Pattern> analyze(Index rows,
-                                                  const std::vector<Index>& a_row_ptr,
-                                                  const std::vector<Index>& a_col_idx);
-  };
-
-  explicit Ic0Preconditioner(std::shared_ptr<const Pattern> pattern);
-  /// Convenience: analyze a's pattern here (tests / one-off callers).
-  explicit Ic0Preconditioner(const CsrMatrix& a);
-
-  /// In-pattern numeric refresh. Stateless with respect to previous
-  /// refreshes: the same A always produces the same factor bits.
-  void refresh(const CsrMatrix& a);
-
-  /// Diagonal shift that produced the current factor (0 = unshifted) and
-  /// whether the shift ladder was exhausted (Jacobi fallback active).
-  [[nodiscard]] Real shift() const { return shift_; }
-  [[nodiscard]] bool jacobi_fallback() const { return jacobi_fallback_; }
-
-  void apply(const std::vector<Real>& r, std::vector<Real>& z) const override;
-  [[nodiscard]] PreconditionerKind kind() const override {
-    return PreconditionerKind::kIc0;
-  }
-
- private:
-  bool try_factor(Real shift);
-
-  std::shared_ptr<const Pattern> pattern_;
-  std::vector<Real> a_lower_;        ///< gathered lower-triangular A values
-  std::vector<Real> l_values_;       ///< the factor
-  std::vector<Real> inv_diag_;       ///< Jacobi fallback values
-  mutable std::vector<Real> y_;      ///< forward-solve scratch
-  Real shift_ = 0.0;
-  bool jacobi_fallback_ = false;
 };
 
 }  // namespace parma::linalg

@@ -222,7 +222,13 @@ void Connection::settle(std::uint64_t request_id) {
 
 void Connection::cancel_all() {
   std::lock_guard lock(mu_);
+  cancelled_ = true;
   for (auto& [id, ticket] : tickets_) ticket.cancel();
+}
+
+bool Connection::cancelled() const {
+  std::lock_guard lock(mu_);
+  return cancelled_;
 }
 
 std::size_t Connection::in_flight() const {

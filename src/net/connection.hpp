@@ -134,9 +134,16 @@ class Connection {
   void settle(std::uint64_t request_id);
 
   /// Best-effort cancellation of everything this peer still has in flight
-  /// (disconnect, listener stop): queued requests complete kCancelled
-  /// promptly instead of consuming solver time for a client that is gone.
+  /// (disconnect, protocol error, listener stop): queued requests complete
+  /// kCancelled promptly instead of consuming solver time for a client that
+  /// is gone.
   void cancel_all();
+
+  /// True once cancel_all() ran. A kCancelled completion is then an
+  /// artifact of this connection's teardown, not an answer: the listener
+  /// drops it rather than write it to a poisoned stream, so a reconnecting
+  /// client replays the request instead of taking kCancelled as final.
+  [[nodiscard]] bool cancelled() const;
 
   [[nodiscard]] std::size_t in_flight() const;
 
@@ -160,6 +167,7 @@ class Connection {
   std::size_t front_offset_ = 0;  ///< bytes of outbox_.front() already sent
   std::size_t in_flight_ = 0;
   std::unordered_map<std::uint64_t, serve::ExternalTicket> tickets_;
+  bool cancelled_ = false;
   /// Set while the outbox holds bytes; re-stamped on every write progress.
   /// The stall clock, not the enqueue clock.
   std::optional<Clock::time_point> write_pending_since_;

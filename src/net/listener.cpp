@@ -353,13 +353,15 @@ void Listener::accept_ready() {
       // Typed rejection: the peer learns WHY instead of diagnosing a bare
       // RST. Best-effort single write -- the frame fits any empty socket
       // buffer; a peer too slow to take even that gets the plain close.
+      // Counted before the write, so a peer that has seen the close also
+      // sees the count.
+      connections_rejected_.fetch_add(1, std::memory_order_relaxed);
       WireError busy;
       busy.code = ProtoCode::kServerBusy;
       busy.message = "listener is at its connection cap";
       const std::vector<std::uint8_t> frame = encode_error(busy);
       (void)sock::send_some(fd, frame.data(), frame.size());
       ::close(fd);
-      connections_rejected_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
 
@@ -396,6 +398,12 @@ void Listener::handle_request(const std::shared_ptr<Connection>& conn,
           // Peer disconnected while the request was in the pipeline; the
           // completion has nowhere to go.
           responses_dropped_.fetch_add(1, std::memory_order_relaxed);
+          return async::Unit{};
+        }
+        if (result.status == serve::RequestStatus::kCancelled && live->cancelled()) {
+          // Cancelled by this connection's own teardown: no answer to give.
+          responses_dropped_.fetch_add(1, std::memory_order_relaxed);
+          live->settle(id);
           return async::Unit{};
         }
         // Counted before the enqueue: the outbox lock and the socket then

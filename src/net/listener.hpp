@@ -89,7 +89,7 @@ struct ListenerCounters {
   std::uint64_t connections_rejected = 0;  ///< over cap: kServerBusy sent
   std::uint64_t requests_admitted = 0;
   std::uint64_t responses_enqueued = 0;
-  std::uint64_t responses_dropped = 0;  ///< completion found its peer gone
+  std::uint64_t responses_dropped = 0;  ///< peer gone, or cancelled by its teardown
   std::uint64_t protocol_errors = 0;
   std::uint64_t disconnects = 0;
   std::uint64_t reaped_idle = 0;

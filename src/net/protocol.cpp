@@ -120,6 +120,7 @@ constexpr std::uint8_t kFlagHasField = 0x01;
 
 void put_header(std::vector<std::uint8_t>& out, FrameType type,
                 std::uint64_t request_id, std::uint32_t body_len) {
+  PARMA_ASSERT(out.empty());
   put_u32(out, kMagic);
   put_u16(out, kProtocolVersion);
   put_u16(out, static_cast<std::uint16_t>(type));
@@ -127,7 +128,7 @@ void put_header(std::vector<std::uint8_t>& out, FrameType type,
   put_u32(out, body_len);
   // body_sum: the empty-body checksum up front, so header-only frames
   // (ping/pong) are complete as written; bodied frames re-patch at the end.
-  put_u32(out, body_checksum(nullptr, 0));
+  put_u32(out, frame_checksum(out.data(), nullptr, 0));
 }
 
 /// Patches body_len (offset 16) and body_sum (offset 20) once the body is
@@ -138,14 +139,11 @@ void patch_body_len(std::vector<std::uint8_t>& out) {
     out[16 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(body_len >> (8 * i));
   }
-  patch_body_checksum(out);
+  patch_frame_checksum(out);
 }
 
-}  // namespace
-
-std::uint32_t body_checksum(const std::uint8_t* data, std::size_t size) {
-  // FNV-1a 32-bit.
-  std::uint32_t h = 2166136261u;
+// FNV-1a 32-bit, continuing from `h`.
+std::uint32_t fnv1a(std::uint32_t h, const std::uint8_t* data, std::size_t size) {
   for (std::size_t i = 0; i < size; ++i) {
     h ^= data[i];
     h *= 16777619u;
@@ -153,10 +151,17 @@ std::uint32_t body_checksum(const std::uint8_t* data, std::size_t size) {
   return h;
 }
 
-void patch_body_checksum(std::vector<std::uint8_t>& frame) {
+}  // namespace
+
+std::uint32_t frame_checksum(const std::uint8_t* header, const std::uint8_t* body,
+                             std::size_t body_len) {
+  return fnv1a(fnv1a(2166136261u, header + 4, 16), body, body_len);
+}
+
+void patch_frame_checksum(std::vector<std::uint8_t>& frame) {
   PARMA_REQUIRE(frame.size() >= kHeaderBytes, "frame shorter than its header");
   const std::uint32_t sum =
-      body_checksum(frame.data() + kHeaderBytes, frame.size() - kHeaderBytes);
+      frame_checksum(frame.data(), frame.data() + kHeaderBytes, frame.size() - kHeaderBytes);
   for (int i = 0; i < 4; ++i) {
     frame[20 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(sum >> (8 * i));
@@ -693,11 +698,13 @@ FrameDecoder::Result FrameDecoder::next(Frame& frame) {
 
   const std::uint8_t* body = buffer_.data() + consumed_;
   const std::size_t body_len = pending_->body_len;
-  // Integrity before interpretation: a flipped payload byte must become a
-  // typed error here, never a silently wrong decoded value.
-  if (body_checksum(body, body_len) != pending_->body_sum) {
+  // Integrity before interpretation: a flipped header or payload byte must
+  // become a typed error here, never a silently wrong decoded value. The
+  // header bytes still sit just before the body: the buffer compacts only
+  // once a frame completes.
+  if (frame_checksum(body - kHeaderBytes, body, body_len) != pending_->body_sum) {
     error_ = ProtocolError{ProtoCode::kBadChecksum,
-                           "body bytes disagree with the header checksum"};
+                           "header or body bytes disagree with the header checksum"};
     error_request_id_ = pending_->request_id;
     return Result::kError;
   }

@@ -9,7 +9,8 @@
 //        6     2  type       FrameType
 //        8     8  request_id caller-chosen; echoed verbatim on the response
 //       16     4  body_len   bytes that follow the header
-//       20     4  body_sum   FNV-1a checksum of those bytes (v2)
+//       20     4  body_sum   FNV-1a checksum of header bytes 4-19 and the
+//                            body (v3; v2 covered the body only)
 //
 // All integers are little-endian fixed-width; floating point is IEEE-754
 // binary64 bit-copied (the native representation on every supported target),
@@ -24,13 +25,14 @@
 //
 // Decoding is exception-free by contract: malformed input -- truncation,
 // garbage magic, a foreign version, an oversized declared body, a corrupted
-// byte caught by the checksum, a body that disagrees with its own shape
-// header -- comes back as a typed ProtocolError diagnostic, never a throw
-// and never a crash. An oversized declared body is rejected from the 24
+// header or body byte caught by the checksum, a body that disagrees with its
+// own shape header -- comes back as a typed ProtocolError diagnostic, never
+// a throw and never a crash. An oversized declared body is rejected from the 24
 // header bytes alone, before any buffer grows toward it, so a hostile 4 GiB
 // length prefix costs the server nothing. The checksum is what turns wire
-// corruption (a flipped bit in a Z sample would otherwise decode fine) into
-// a typed, recoverable teardown instead of a silently wrong answer.
+// corruption (a flipped bit in a Z sample, a frame type or a request id
+// would otherwise decode fine) into a typed, recoverable teardown instead of
+// a silently wrong answer.
 #pragma once
 
 #include <cstddef>
@@ -48,8 +50,9 @@ namespace parma::net {
 
 inline constexpr std::uint32_t kMagic = 0x414D5250u;  // "PRMA"
 /// v2: +body checksum in the header, ping/pong keepalive frames, typed
-/// kServerBusy connection rejects.
-inline constexpr std::uint16_t kProtocolVersion = 2;
+/// kServerBusy connection rejects. v3: the checksum also covers the header's
+/// version, type, request id and body length.
+inline constexpr std::uint16_t kProtocolVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 24;
 
 /// Hard ceiling on rows/cols in a request shape header: large enough for any
@@ -84,23 +87,24 @@ enum class ProtoCode : std::uint16_t {
   kBadEnum = 6,          ///< enum field (priority/strategy/...) out of range
   kBadShape = 7,         ///< rows/cols outside [2, kMaxWireDim]
   kTruncatedBody = 8,    ///< body ended mid-field
-  kBadChecksum = 9,      ///< body bytes disagree with the header checksum
+  kBadChecksum = 9,      ///< header fields or body bytes disagree with the checksum
   kServerBusy = 10,      ///< connection rejected: the listener is at capacity
 };
 
 const char* proto_code_name(ProtoCode code);
 
-/// FNV-1a 32-bit over the body bytes -- the header's body_sum field. Cheap
-/// enough to run on every frame, strong enough to catch the single-byte
-/// corruption real links (and the chaos injector) produce. Exposed so tests
-/// that hand-corrupt encoded bodies can re-patch the header to keep (or
-/// break) frame integrity deliberately.
-[[nodiscard]] std::uint32_t body_checksum(const std::uint8_t* data, std::size_t size);
+/// FNV-1a 32-bit over header bytes 4-19 (version, type, request id, body
+/// length) and then the `body_len` body bytes -- the header's body_sum field.
+/// `header` points at the 24 header bytes. Cheap enough to run on every
+/// frame, strong enough to catch the single-byte corruption real links (and
+/// the chaos injector) produce, wherever in the frame it lands.
+[[nodiscard]] std::uint32_t frame_checksum(const std::uint8_t* header,
+                                           const std::uint8_t* body, std::size_t body_len);
 
-/// Rewrites the header checksum at `frame[20]` to match the body bytes that
-/// follow the header. For tests that mutate an encoded frame's body and
-/// still want it to pass integrity checking.
-void patch_body_checksum(std::vector<std::uint8_t>& frame);
+/// Rewrites the header checksum at `frame[20]` to match the header fields
+/// and the body bytes that follow the header. For tests that mutate an
+/// encoded frame and still want it to pass integrity checking.
+void patch_frame_checksum(std::vector<std::uint8_t>& frame);
 
 /// One decode failure: what went wrong plus a human-readable detail.
 struct ProtocolError {

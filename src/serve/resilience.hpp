@@ -5,9 +5,7 @@
 // (max_attempts, retry_backoff, breaker_failure_threshold, ...). They are
 // one policy: retry classification feeds the breaker, the breaker gates the
 // retried chain, shedding protects both. Grouping them lets callers build a
-// policy once and reuse it across servers, and lets ServerOptions carry the
-// old field names as deprecated forwarders for one release (see
-// ServerOptions::resilience()).
+// policy once and reuse it across servers.
 //
 //   serve::ResiliencePolicy policy;
 //   policy.retry.max_attempts = 5;

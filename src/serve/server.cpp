@@ -44,39 +44,6 @@ const char* priority_name(Priority priority) {
   return "?";
 }
 
-ResiliencePolicy ServerOptions::resilience() const {
-  ResiliencePolicy merged = policy;
-  // Deprecated forwarders: a field changed from its default wins over the
-  // policy value, so code written against the old loose fields keeps its
-  // exact behavior for one release. Reading the fields here is the one
-  // sanctioned use; everything else should migrate to policy.*.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const ServerOptions defaults{};
-  if (max_attempts != defaults.max_attempts) merged.retry.max_attempts = max_attempts;
-  if (retry_backoff != defaults.retry_backoff) merged.retry.backoff = retry_backoff;
-  if (retry_backoff_cap != defaults.retry_backoff_cap) {
-    merged.retry.backoff_cap = retry_backoff_cap;
-  }
-  if (retry_jitter_seed != defaults.retry_jitter_seed) {
-    merged.retry.jitter_seed = retry_jitter_seed;
-  }
-  if (breaker_failure_threshold != defaults.breaker_failure_threshold) {
-    merged.breaker.failure_threshold = breaker_failure_threshold;
-  }
-  if (breaker_cooldown != defaults.breaker_cooldown) {
-    merged.breaker.cooldown = breaker_cooldown;
-  }
-  if (degraded_high_water != defaults.degraded_high_water) {
-    merged.shedding.high_water = degraded_high_water;
-  }
-  if (degraded_sustain != defaults.degraded_sustain) {
-    merged.shedding.sustain = degraded_sustain;
-  }
-#pragma GCC diagnostic pop
-  return merged;
-}
-
 void ServerOptions::validate() const {
   const auto fail = [](const char* what, auto got) {
     std::ostringstream os;
@@ -89,7 +56,7 @@ void ServerOptions::validate() const {
   if (max_inflight_batches < 0) {
     fail("max_inflight_batches must be >= 0", max_inflight_batches);
   }
-  resilience().validate();
+  policy.validate();
 }
 
 void Ticket::cancel() {
@@ -149,10 +116,9 @@ struct Server::AttemptState {
 
 Server::Server(ServerOptions options)
     : options_(options),
-      policy_(options.resilience()),
       cache_(std::make_shared<core::FormationCache>()),
       queue_(options.queue_capacity),
-      breakers_(policy_.breaker) {
+      breakers_(options_.policy.breaker) {
   options_.validate();
   max_inflight_ = options_.max_inflight_batches > 0
                       ? static_cast<std::size_t>(options_.max_inflight_batches)
@@ -267,8 +233,8 @@ Ticket Server::admit(ParametrizeRequest&& request, bool blocking,
   pending->enqueued_at = Clock::now();
   if (pending->request.timeout) {
     pending->deadline = pending->enqueued_at + *pending->request.timeout;
-  } else if (policy_.default_deadline) {
-    pending->deadline = pending->enqueued_at + *policy_.default_deadline;
+  } else if (options_.policy.default_deadline) {
+    pending->deadline = pending->enqueued_at + *options_.policy.default_deadline;
   }
   if (!pending->on_complete) ticket.future_ = pending->promise.get_future();
 
@@ -329,16 +295,16 @@ Ticket Server::admit(ParametrizeRequest&& request, bool blocking,
 }
 
 bool Server::should_shed(Priority priority) {
-  if (policy_.shedding.high_water <= 0.0) return false;
+  if (options_.policy.shedding.high_water <= 0.0) return false;
   const auto threshold = static_cast<std::size_t>(std::ceil(
-      policy_.shedding.high_water * static_cast<Real>(options_.queue_capacity)));
+      options_.policy.shedding.high_water * static_cast<Real>(options_.queue_capacity)));
   const std::size_t depth = queue_.size();
   const Clock::time_point now = Clock::now();
   std::lock_guard lock(state_mu_);
   if (depth >= threshold) {
     if (!queue_hot_since_) queue_hot_since_ = now;
     if (!degraded_.load(std::memory_order_relaxed) &&
-        now - *queue_hot_since_ >= policy_.shedding.sustain) {
+        now - *queue_hot_since_ >= options_.policy.shedding.sustain) {
       degraded_.store(true, std::memory_order_relaxed);
       stats_.on_degraded_entered();
     }
@@ -355,13 +321,13 @@ bool Server::should_shed(Priority priority) {
 }
 
 std::chrono::microseconds Server::backoff_delay(Index attempt) {
-  const Real base_ms = static_cast<Real>(policy_.retry.backoff.count());
-  const Real cap_ms = static_cast<Real>(policy_.retry.backoff_cap.count());
+  const Real base_ms = static_cast<Real>(options_.policy.retry.backoff.count());
+  const Real cap_ms = static_cast<Real>(options_.policy.retry.backoff_cap.count());
   const int doublings = static_cast<int>(std::min<Index>(attempt > 0 ? attempt - 1 : 0, 20));
   const Real ms = std::min(std::ldexp(base_ms, doublings), cap_ms);
   // One deterministic jitter draw per retry server-wide: with a fixed seed
   // and submission order, the backoff schedule replays exactly.
-  Rng rng(policy_.retry.jitter_seed +
+  Rng rng(options_.policy.retry.jitter_seed +
           retry_sequence_.fetch_add(1, std::memory_order_relaxed));
   const Real jitter = rng.uniform(0.5, 1.0);
   return std::chrono::microseconds(static_cast<std::int64_t>(ms * 1000.0 * jitter));
@@ -487,7 +453,7 @@ async::Task<async::Unit> Server::make_request_task(PendingPtr pending, BatchPtr 
       options_.share_cache ? cache_ : std::make_shared<core::FormationCache>();
 
   async::RetryOptions<OutcomePtr> retry;
-  retry.max_attempts = static_cast<int>(policy_.retry.max_attempts);
+  retry.max_attempts = static_cast<int>(options_.policy.retry.max_attempts);
   retry.should_retry = [](const async::Try<OutcomePtr>& t) {
     const AttemptFailure failure = t.get()->failure;
     return failure == AttemptFailure::kRetryable ||
@@ -752,9 +718,7 @@ void Server::stage_solve(const StatePtr& state) {
       // shape skip the pattern computation entirely.
       solver::KernelContext kernel_context;
       kernel_context.executor = state->batch->lease.get();
-      if (state->pending->request.full_system.use_kernels) {
-        kernel_context.symbolic = state->cache->system_symbolic(state->formation->system);
-      }
+      kernel_context.symbolic = state->cache->system_symbolic(state->formation->system);
       solver::FullSystemResult full = solver::solve_full_system(
           state->formation->system, state->engine->measurement(),
           state->pending->request.full_system, kernel_context);

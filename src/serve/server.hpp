@@ -53,17 +53,7 @@
 
 namespace parma::serve {
 
-// The pragma pair silences -Wdeprecated-declarations only for ServerOptions'
-// own implicitly generated members (copy/move touch the deprecated fields);
-// user code reading or writing those fields still warns at its own line.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct ServerOptions {
-  // A user-declared (defaulted) constructor keeps ServerOptions{} from being
-  // aggregate-initialized at the call site, where GCC would re-instantiate the
-  // deprecated members' default initializers and warn on every value-init.
-  ServerOptions() = default;
-
   /// Capacity of the bounded admission queue (the backpressure knob).
   std::size_t queue_capacity = 64;
   /// Pipeline scheduler threads running form/solve/reconstruct stages.
@@ -90,48 +80,10 @@ struct ServerOptions {
   /// degraded-mode load shedding, default deadline. See resilience.hpp.
   ResiliencePolicy policy;
 
-  // --- Deprecated loose resilience fields (one release of compatibility) ---
-  //
-  // These forward into `policy`: a field changed from its default overrides
-  // the corresponding policy value (see resilience()). New code sets
-  // `policy.*` directly.
-
-  /// \deprecated Use policy.retry.max_attempts.
-  [[deprecated("use policy.retry.max_attempts")]]
-  Index max_attempts = 3;
-  /// \deprecated Use policy.retry.backoff.
-  [[deprecated("use policy.retry.backoff")]]
-  std::chrono::milliseconds retry_backoff{1};
-  /// \deprecated Use policy.retry.backoff_cap.
-  [[deprecated("use policy.retry.backoff_cap")]]
-  std::chrono::milliseconds retry_backoff_cap{50};
-  /// \deprecated Use policy.retry.jitter_seed.
-  [[deprecated("use policy.retry.jitter_seed")]]
-  std::uint64_t retry_jitter_seed = 0x7a17;
-  /// \deprecated Use policy.breaker.failure_threshold.
-  [[deprecated("use policy.breaker.failure_threshold")]]
-  Index breaker_failure_threshold = 5;
-  /// \deprecated Use policy.breaker.cooldown.
-  [[deprecated("use policy.breaker.cooldown")]]
-  std::chrono::milliseconds breaker_cooldown{250};
-  /// \deprecated Use policy.shedding.high_water.
-  [[deprecated("use policy.shedding.high_water")]]
-  Real degraded_high_water = 0.75;
-  /// \deprecated Use policy.shedding.sustain.
-  [[deprecated("use policy.shedding.sustain")]]
-  std::chrono::milliseconds degraded_sustain{50};
-
-  /// The effective policy: `policy`, with every deprecated field that was
-  /// changed from its default overriding the corresponding policy value.
-  /// (A deprecated field set *to* its default is indistinguishable from an
-  /// untouched one and does not override -- migrate to policy.*.)
-  [[nodiscard]] ResiliencePolicy resilience() const;
-
   /// Throws core::InvalidOptions for out-of-range values (including the
-  /// effective resilience policy).
+  /// resilience policy).
   void validate() const;
 };
-#pragma GCC diagnostic pop
 
 namespace detail {
 
@@ -333,7 +285,6 @@ class Server {
   void complete(const PendingPtr& pending, ParametrizeResult&& result);
 
   ServerOptions options_;
-  ResiliencePolicy policy_;  ///< effective policy (deprecated fields merged)
   std::shared_ptr<core::FormationCache> cache_;
   BoundedQueue<PendingPtr> queue_;
   StatsCollector stats_;

@@ -24,18 +24,6 @@ Real ridge_for(const std::vector<Real>& diag, Real scale) {
   return std::max(scale * max_abs, Real{1e-300});
 }
 
-// Rung-2 tau with the conditioning-adaptive boost: a system whose diagonal
-// condition estimate exceeds the target draws a proportionally stronger
-// ridge (capped so a non-finite estimate cannot produce a non-finite tau).
-Real adaptive_tau(Real base_tau, const FallbackOptions& options) {
-  if (options.adaptive_tikhonov_target <= 0.0) return base_tau;
-  if (!(options.condition_estimate > options.adaptive_tikhonov_target)) return base_tau;
-  const Real boost = std::isfinite(options.condition_estimate)
-                         ? options.condition_estimate / options.adaptive_tikhonov_target
-                         : Real{1e6};
-  return base_tau * std::min(boost, Real{1e6});
-}
-
 linalg::CsrMatrix add_ridge(const linalg::CsrMatrix& a, Real tau) {
   linalg::CooBuilder builder(a.rows(), a.cols());
   const auto& row_ptr = a.row_ptr();
@@ -72,17 +60,7 @@ linalg::DenseMatrix densify(const linalg::CsrMatrix& a) {
   return dense;
 }
 
-const linalg::DenseMatrix& densify(const linalg::DenseMatrix& a) { return a; }
-
-std::vector<Real> diagonal_of(const linalg::CsrMatrix& a) { return a.diagonal(); }
-
-std::vector<Real> diagonal_of(const linalg::DenseMatrix& a) {
-  std::vector<Real> diag(static_cast<std::size_t>(a.rows()));
-  for (Index i = 0; i < a.rows(); ++i) diag[static_cast<std::size_t>(i)] = a(i, i);
-  return diag;
-}
-
-// Rung 3 shared by every ladder variant: direct LU, then the ridged retry.
+// Rung 3: direct LU, then the ridged retry.
 std::vector<Real> dense_rung(const linalg::DenseMatrix& dense, const std::vector<Real>& b,
                              Real tau) {
   try {
@@ -121,92 +99,6 @@ linalg::CsrMatrix add_ridge_in_pattern(const linalg::CsrMatrix& a, Real tau) {
   return ridged;
 }
 
-template <typename Matrix>
-std::vector<Real> ladder(const Matrix& a, const std::vector<Real>& b,
-                         const FallbackOptions& options, SolveDiagnostics& diagnostics) {
-  PARMA_REQUIRE(a.rows() == a.cols(), "fallback ladder needs a square matrix");
-  ++diagnostics.linear_solves;
-  const auto note_rung = [&](FallbackRung rung) {
-    diagnostics.highest_rung = std::max(diagnostics.highest_rung, rung);
-  };
-
-  // Rung 1: plain CG. A converged, finite iterate takes the fast exit with
-  // numerics identical to calling conjugate_gradient directly.
-  linalg::IterativeResult cg = linalg::conjugate_gradient(a, b, options.cg);
-  diagnostics.cg_iterations += cg.iterations;
-  if (cg.converged && all_finite(cg.x)) {
-    note_rung(FallbackRung::kCg);
-    return std::move(cg.x);
-  }
-
-  // Rung 2: Tikhonov-regularized retry. The ridge shifts the spectrum away
-  // from zero (where CG stalls on near-singular normal equations) and the
-  // tolerance is adapted -- an approximate step is enough for the outer
-  // iteration to keep descending. Warm-start from rung 1 when it is usable.
-  ++diagnostics.tikhonov_retries;
-  note_rung(FallbackRung::kTikhonov);
-  const Real tau = adaptive_tau(ridge_for(diagonal_of(a), options.tikhonov_scale), options);
-  const Matrix ridged = add_ridge(a, tau);
-  linalg::IterativeOptions relaxed = options.cg;
-  relaxed.tolerance = options.cg.tolerance * options.tikhonov_tolerance_factor;
-  std::vector<Real> warm = all_finite(cg.x) ? std::move(cg.x) : std::vector<Real>{};
-  linalg::IterativeResult retry =
-      linalg::conjugate_gradient(ridged, b, relaxed, std::move(warm));
-  diagnostics.cg_iterations += retry.iterations;
-  if (retry.converged && all_finite(retry.x)) {
-    return std::move(retry.x);
-  }
-
-  // Rung 3: direct dense solve -- the last resort that does not depend on
-  // conditioning-sensitive iteration at all. A singular matrix gets the same
-  // ridge; only if that also fails does the ladder give up.
-  ++diagnostics.dense_fallbacks;
-  note_rung(FallbackRung::kDense);
-  return dense_rung(densify(a), b, tau);
-}
-
-// Workspace ladder shared by the sparse and dense overloads: identical rungs
-// and escalation rules to `ladder`, with the CG solves running through
-// conjugate_gradient_with on a reused CgWorkspace. `make_op` adapts a matrix
-// to the CG operator; `ridge` builds the rung-2 system.
-template <typename Matrix, typename MakeOp, typename Ridge>
-std::vector<Real> workspace_ladder(const Matrix& a, const std::vector<Real>& b,
-                                   const FallbackOptions& options,
-                                   SolveDiagnostics& diagnostics, linalg::CgWorkspace& ws,
-                                   const MakeOp& make_op, const Ridge& ridge) {
-  PARMA_REQUIRE(a.rows() == a.cols(), "fallback ladder needs a square matrix");
-  ++diagnostics.linear_solves;
-  const auto note_rung = [&](FallbackRung rung) {
-    diagnostics.highest_rung = std::max(diagnostics.highest_rung, rung);
-  };
-
-  linalg::IterativeResult cg = linalg::conjugate_gradient_with(make_op(a), b, options.cg, ws,
-                                                               options.preconditioner);
-  diagnostics.cg_iterations += cg.iterations;
-  if (cg.converged && all_finite(cg.x)) {
-    note_rung(FallbackRung::kCg);
-    return std::move(cg.x);
-  }
-
-  ++diagnostics.tikhonov_retries;
-  note_rung(FallbackRung::kTikhonov);
-  const Real tau = adaptive_tau(ridge_for(diagonal_of(a), options.tikhonov_scale), options);
-  const Matrix ridged = ridge(a, tau);
-  linalg::IterativeOptions relaxed = options.cg;
-  relaxed.tolerance = options.cg.tolerance * options.tikhonov_tolerance_factor;
-  std::vector<Real> warm = all_finite(cg.x) ? std::move(cg.x) : std::vector<Real>{};
-  linalg::IterativeResult retry = linalg::conjugate_gradient_with(
-      make_op(ridged), b, relaxed, ws, options.preconditioner, std::move(warm));
-  diagnostics.cg_iterations += retry.iterations;
-  if (retry.converged && all_finite(retry.x)) {
-    return std::move(retry.x);
-  }
-
-  ++diagnostics.dense_fallbacks;
-  note_rung(FallbackRung::kDense);
-  return dense_rung(densify(a), b, tau);
-}
-
 }  // namespace
 
 const char* fallback_rung_name(FallbackRung rung) {
@@ -231,56 +123,52 @@ void SolveDiagnostics::merge(const SolveDiagnostics& other) {
 std::vector<Real> solve_with_fallback(const linalg::CsrMatrix& a,
                                       const std::vector<Real>& b,
                                       const FallbackOptions& options,
-                                      SolveDiagnostics& diagnostics) {
-  return ladder(a, b, options, diagnostics);
-}
-
-std::vector<Real> solve_with_fallback(const linalg::DenseMatrix& a,
-                                      const std::vector<Real>& b,
-                                      const FallbackOptions& options,
-                                      SolveDiagnostics& diagnostics) {
-  return ladder(a, b, options, diagnostics);
-}
-
-std::vector<Real> solve_with_fallback(const linalg::CsrMatrix& a,
-                                      const std::vector<Real>& b,
-                                      const FallbackOptions& options,
                                       SolveDiagnostics& diagnostics,
                                       LadderWorkspace& workspace) {
-  // Opt-in mixed-precision pre-rung: try the float-inner/double-outer solve
-  // first. Its accuracy gate checks the DOUBLE residual, so a success here is
-  // as accurate as rung 1; a miss just falls through to the regular ladder
-  // (the iterations still count toward diagnostics).
-  if (options.cg.mixed_precision) {
-    linalg::IterativeResult mixed =
-        linalg::conjugate_gradient_mixed(a, b, options.cg, workspace.mixed);
-    diagnostics.cg_iterations += mixed.iterations;
-    if (mixed.converged) {
-      ++diagnostics.linear_solves;
-      diagnostics.highest_rung = std::max(diagnostics.highest_rung, FallbackRung::kCg);
-      return std::move(mixed.x);
-    }
-  }
-  return workspace_ladder(
-      a, b, options, diagnostics, workspace.cg,
-      [&](const linalg::CsrMatrix& m) {
-        // The padded shadow mirrors `a` only; the ridged rung-2 copy (a
-        // different object with fresh values) multiplies through its own CSR.
-        const linalg::PaddedCsrChunks* padded = (&m == &a) ? workspace.padded : nullptr;
-        return ParallelCsrOperator(m, workspace.executor, padded);
-      },
-      [](const linalg::CsrMatrix& m, Real tau) { return add_ridge_in_pattern(m, tau); });
-}
+  PARMA_REQUIRE(a.rows() == a.cols(), "fallback ladder needs a square matrix");
+  ++diagnostics.linear_solves;
+  const auto note_rung = [&](FallbackRung rung) {
+    diagnostics.highest_rung = std::max(diagnostics.highest_rung, rung);
+  };
 
-std::vector<Real> solve_with_fallback(const linalg::DenseMatrix& a,
-                                      const std::vector<Real>& b,
-                                      const FallbackOptions& options,
-                                      SolveDiagnostics& diagnostics,
-                                      linalg::CgWorkspace& workspace) {
-  return workspace_ladder(
-      a, b, options, diagnostics, workspace,
-      [](const linalg::DenseMatrix& m) { return linalg::SerialDenseOperator(m); },
-      [](const linalg::DenseMatrix& m, Real tau) { return add_ridge(m, tau); });
+  // Rung 1: preconditioned CG. A converged, finite iterate takes the fast
+  // exit with numerics identical to calling conjugate_gradient_with directly.
+  linalg::IterativeResult cg = linalg::conjugate_gradient_with(
+      ParallelCsrOperator(a, workspace.executor, workspace.padded), b, options.cg,
+      workspace.cg, options.preconditioner);
+  diagnostics.cg_iterations += cg.iterations;
+  if (cg.converged && all_finite(cg.x)) {
+    note_rung(FallbackRung::kCg);
+    return std::move(cg.x);
+  }
+
+  // Rung 2: Tikhonov-regularized retry. The ridge shifts the spectrum away
+  // from zero (where CG stalls on near-singular normal equations) and the
+  // tolerance is adapted -- an approximate step is enough for the outer
+  // iteration to keep descending. Warm-start from rung 1 when it is usable.
+  // The padded shadow mirrors `a` only; the ridged copy multiplies through
+  // its own CSR.
+  ++diagnostics.tikhonov_retries;
+  note_rung(FallbackRung::kTikhonov);
+  const Real tau = ridge_for(a.diagonal(), options.tikhonov_scale);
+  const linalg::CsrMatrix ridged = add_ridge_in_pattern(a, tau);
+  linalg::IterativeOptions relaxed = options.cg;
+  relaxed.tolerance = options.cg.tolerance * options.tikhonov_tolerance_factor;
+  std::vector<Real> warm = all_finite(cg.x) ? std::move(cg.x) : std::vector<Real>{};
+  linalg::IterativeResult retry = linalg::conjugate_gradient_with(
+      ParallelCsrOperator(ridged, workspace.executor), b, relaxed, workspace.cg,
+      options.preconditioner, std::move(warm));
+  diagnostics.cg_iterations += retry.iterations;
+  if (retry.converged && all_finite(retry.x)) {
+    return std::move(retry.x);
+  }
+
+  // Rung 3: direct dense solve -- the last resort that does not depend on
+  // conditioning-sensitive iteration at all. A singular matrix gets the same
+  // ridge; only if that also fails does the ladder give up.
+  ++diagnostics.dense_fallbacks;
+  note_rung(FallbackRung::kDense);
+  return dense_rung(densify(a), b, tau);
 }
 
 }  // namespace parma::solver

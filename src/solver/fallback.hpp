@@ -1,6 +1,6 @@
 // The solver fallback ladder: one linear solve, three escalating attempts.
 //
-//   rung 1  CG          Jacobi-preconditioned conjugate gradient as-is;
+//   rung 1  CG          preconditioned conjugate gradient as-is;
 //   rung 2  Tikhonov    CG retried on the ridge-regularized system
 //                       (A + tau I) x = b with an adapted (looser) tolerance,
 //                       warm-started from rung 1's iterate;
@@ -11,7 +11,7 @@
 // IV-A) survives the ill-conditioned or noisy measurements where CG alone
 // stalls: escalation happens only on non-convergence or a non-finite
 // iterate, so the fast path's numerics are untouched -- when CG converges,
-// the result is bit-identical to calling conjugate_gradient directly.
+// the result is bit-identical to calling conjugate_gradient_with directly.
 //
 // SolveDiagnostics accumulates which rungs ran across the outer iteration
 // and is surfaced end-to-end (solver results -> serve::ParametrizeResult ->
@@ -21,7 +21,6 @@
 
 #include <vector>
 
-#include "linalg/dense_matrix.hpp"
 #include "linalg/iterative.hpp"
 #include "linalg/sparse_matrix.hpp"
 
@@ -58,45 +57,19 @@ struct FallbackOptions {
   Real tikhonov_scale = 1e-8;
   /// Rung 2 tolerance = cg.tolerance * tikhonov_tolerance_factor.
   Real tikhonov_tolerance_factor = 100.0;
-  /// Adaptive ridge strength: when > 0 and `condition_estimate` exceeds it,
-  /// the rung-2 tau is scaled by condition_estimate / target (capped at
-  /// 1e6x). 0 = the fixed ridge -- the pre-existing behavior, and since the
-  /// ridge only exists on rung 2+, the CG fast path is untouched either way.
-  Real adaptive_tikhonov_target = 0.0;
-  /// Caller-supplied condition proxy of A (e.g. the solver's per-iteration
-  /// diagonal estimate, solver::diagonal_condition_estimate). Only read when
-  /// adaptive_tikhonov_target > 0.
-  Real condition_estimate = 0.0;
-  /// Preconditioner for the CG rungs of the WORKSPACE ladder overloads (the
-  /// allocate-per-call overloads keep their historical inline Jacobi). Null =
-  /// inline Jacobi, bit-identical to every pre-preconditioner release. The
-  /// ladder does not own or refresh it -- the caller refreshes from the
-  /// current numeric values before each solve (solver::NormalPreconditioner).
-  /// Rung 2 reuses it unrefreshed on the ridged system: the ridge only
-  /// strengthens the diagonal, so M stays a valid (slightly stale) SPD
-  /// preconditioner there.
+  /// Preconditioner for the CG rungs. Null = inline Jacobi. The ladder does
+  /// not own or refresh it -- the caller refreshes from the current numeric
+  /// values before each solve. Rung 2 reuses it unrefreshed on the ridged
+  /// system: the ridge only strengthens the diagonal, so M stays a valid
+  /// (slightly stale) SPD preconditioner there.
   const linalg::Preconditioner* preconditioner = nullptr;
 };
 
-/// Runs the ladder on A x = b. Escalates CG -> Tikhonov -> dense; records
-/// into `diagnostics`; throws NumericalError only if every rung fails
-/// (including the ridged dense solve).
-std::vector<Real> solve_with_fallback(const linalg::CsrMatrix& a,
-                                      const std::vector<Real>& b,
-                                      const FallbackOptions& options,
-                                      SolveDiagnostics& diagnostics);
-
-/// Dense overload (the LM normal equations path).
-std::vector<Real> solve_with_fallback(const linalg::DenseMatrix& a,
-                                      const std::vector<Real>& b,
-                                      const FallbackOptions& options,
-                                      SolveDiagnostics& diagnostics);
-
-/// Scratch state for the workspace ladder overloads below: one CG workspace
-/// reused across every linear solve of an outer iteration (zero allocations
-/// per CG iteration) plus the executor driving parallel SpMV / ordered dot
-/// reductions inside CG (null = serial; the parallel reductions are
-/// bit-identical to serial, see linalg/vector_ops.hpp).
+/// Scratch state for the ladder: one CG workspace reused across every linear
+/// solve of an outer iteration (zero allocations per CG iteration) plus the
+/// executor driving parallel SpMV / ordered dot reductions inside CG (null =
+/// serial; the parallel reductions are bit-identical to serial, see
+/// linalg/vector_ops.hpp).
 struct LadderWorkspace {
   linalg::CgWorkspace cg;
   exec::Executor* executor = nullptr;
@@ -105,27 +78,18 @@ struct LadderWorkspace {
   /// consulted when the matrix handed to the ladder IS the one the shadow
   /// mirrors -- the ridged rung-2 copy always multiplies through its own CSR.
   const linalg::PaddedCsrChunks* padded = nullptr;
-  /// Scratch for the opt-in mixed-precision pre-rung (cg.mixed_precision).
-  linalg::MixedPrecisionWorkspace mixed;
 };
 
-/// Workspace ladder on a sparse system. Same three rungs and escalation rules
-/// as the allocate-per-call overload; rung 2 reuses A's sparsity pattern and
+/// Runs the ladder on A x = b. Escalates CG -> Tikhonov -> dense; records
+/// into `diagnostics`; throws NumericalError only if every rung fails
+/// (including the ridged dense solve). Rung 2 reuses A's sparsity pattern and
 /// adds the ridge in place when the diagonal is structurally present (it
-/// always is for kernel-built normal matrices), instead of rebuilding through
-/// a CooBuilder.
+/// always is for kernel-built normal matrices), rebuilding through a
+/// CooBuilder only when it is not.
 std::vector<Real> solve_with_fallback(const linalg::CsrMatrix& a,
                                       const std::vector<Real>& b,
                                       const FallbackOptions& options,
                                       SolveDiagnostics& diagnostics,
                                       LadderWorkspace& workspace);
-
-/// Workspace ladder on a dense system (the LM path: one CgWorkspace threaded
-/// through every damped solve).
-std::vector<Real> solve_with_fallback(const linalg::DenseMatrix& a,
-                                      const std::vector<Real>& b,
-                                      const FallbackOptions& options,
-                                      SolveDiagnostics& diagnostics,
-                                      linalg::CgWorkspace& workspace);
 
 }  // namespace parma::solver

@@ -6,10 +6,7 @@
 
 #include "common/require.hpp"
 #include "equations/pair_system.hpp"
-#include "equations/residual.hpp"
 #include "exec/executor.hpp"
-#include "linalg/iterative.hpp"
-#include "linalg/vector_ops.hpp"
 
 namespace parma::solver {
 namespace {
@@ -52,93 +49,21 @@ std::vector<Index> flag_downweighted_entries(const equations::EquationSystem& sy
 // coarse enough to schedule individually.
 constexpr Index kPairChunk = 1;
 
-// The legacy rebuild-per-iteration Gauss-Newton loop, kept verbatim as the
-// benchmark baseline and the bit-identity reference for the kernel path.
-FullSystemResult solve_legacy(const equations::EquationSystem& system,
-                              const mea::Measurement& measurement,
-                              const FullSystemOptions& options, exec::Executor* executor) {
-  const auto& layout = system.layout;
-  FullSystemResult result;
-  result.unknowns = initial_guess(system, measurement, executor);
+}  // namespace
 
-  std::vector<Real> residual = equations::system_residual(system, result.unknowns);
-  Real rms = residual_rms(residual);
-  PARMA_REQUIRE(std::isfinite(rms), "full-system solve started from a non-finite residual");
-  result.residual_history.push_back(rms);
-
-  FallbackOptions ladder;
-  ladder.cg.max_iterations = options.cg_max_iterations;
-  ladder.cg.tolerance = options.cg_tolerance;
-  ladder.tikhonov_scale = options.tikhonov_scale;
-  ladder.tikhonov_tolerance_factor = options.tikhonov_tolerance_factor;
-
-  for (Index iter = 0; iter < options.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    if (rms <= options.tolerance) {
-      result.converged = true;
-      break;
-    }
-    const linalg::CsrMatrix jac = equations::system_jacobian(system, result.unknowns);
-    const linalg::CsrMatrix jtj = reference_normal_matrix(jac);
-    std::vector<Real> rhs = jac.multiply_transpose(residual);
-    for (Real& v : rhs) v = -v;
-
-    // Per-step normal-equation solve through the fallback ladder: plain CG
-    // when it converges (bit-identical to the pre-ladder behavior), Tikhonov
-    // retry and then a dense direct solve when it does not.
-    const std::vector<Real> step =
-        solve_with_fallback(jtj, rhs, ladder, result.diagnostics);
-
-    // Damped update with relative clamping; resistances must stay positive.
-    std::vector<Real> candidate = result.unknowns;
-    for (std::size_t u = 0; u < candidate.size(); ++u) {
-      Real delta = step[u];
-      const Real scale = std::max(std::abs(candidate[u]), Real{1e-6});
-      delta = std::clamp(delta, -options.step_clamp * scale, options.step_clamp * scale);
-      candidate[u] += delta;
-      if (layout.is_resistance(static_cast<Index>(u)) && candidate[u] <= 0.0) {
-        candidate[u] = 0.5 * scale;  // project back into the feasible region
-      }
-    }
-    std::vector<Real> candidate_residual = equations::system_residual(system, candidate);
-    const Real candidate_rms = residual_rms(candidate_residual);
-    // A non-finite candidate (overflow/NaN from a poisoned step) must never
-    // be accepted -- NaN fails every comparison, so test it explicitly, and
-    // report the abort as a numerical breakdown rather than a stall.
-    if (!std::isfinite(candidate_rms)) {
-      result.termination = TerminationReason::kNumericalBreakdown;
-      break;
-    }
-    if (candidate_rms >= rms) {
-      result.termination = TerminationReason::kStalled;
-      break;
-    }
-    result.unknowns = std::move(candidate);
-    residual = std::move(candidate_residual);
-    rms = candidate_rms;
-    result.residual_history.push_back(rms);
-  }
-
-  result.final_residual_rms = rms;
-  result.converged = result.converged || rms <= options.tolerance;
-  if (result.converged) result.termination = TerminationReason::kToleranceReached;
-  result.diagnostics.converged = result.converged;
-  result.recovered = circuit::ResistanceGrid(layout.rows(), layout.cols());
-  for (Index e = 0; e < layout.num_resistors(); ++e) {
-    result.recovered.flat()[static_cast<std::size_t>(e)] =
-        result.unknowns[static_cast<std::size_t>(e)];
-  }
-  return result;
+FullSystemResult solve_full_system(const equations::EquationSystem& system,
+                                   const mea::Measurement& measurement,
+                                   const FullSystemOptions& options) {
+  return solve_full_system(system, measurement, options, KernelContext{});
 }
 
-// The kernel hot path: the same Gauss-Newton iteration with the per-step
-// assembly replaced by in-place symbolic/numeric refreshes and the linear
-// solves running through the workspace ladder. Serial execution is
-// bit-identical to solve_legacy (tests/test_kernels.cpp).
-FullSystemResult solve_kernels(const equations::EquationSystem& system,
-                               const mea::Measurement& measurement,
-                               const FullSystemOptions& options,
-                               const KernelContext& context) {
+// Each Gauss-Newton iteration refreshes J, J^T J and the residual in place
+// through the symbolic/numeric kernels and solves the step through the
+// workspace ladder with the block-Jacobi preconditioner.
+FullSystemResult solve_full_system(const equations::EquationSystem& system,
+                                   const mea::Measurement& measurement,
+                                   const FullSystemOptions& options,
+                                   const KernelContext& context) {
   const auto& layout = system.layout;
   exec::Executor* executor = context.executor;
   FullSystemResult result;
@@ -156,17 +81,14 @@ FullSystemResult solve_kernels(const equations::EquationSystem& system,
   ladder.cg.tolerance = options.cg_tolerance;
   ladder.tikhonov_scale = options.tikhonov_scale;
   ladder.tikhonov_tolerance_factor = options.tikhonov_tolerance_factor;
-  ladder.adaptive_tikhonov_target = options.adaptive_tikhonov_target;
-  ladder.cg.mixed_precision = options.mixed_precision;
   LadderWorkspace workspace;
   workspace.executor = executor;
   workspace.padded = &kernels.padded_normal();
 
-  // Preconditioner against the fixed symbolic pattern, numeric-refreshed per
-  // iteration below. kJacobi keeps get() null: the ladder's inline-Jacobi
-  // path, bit-identical to every pre-preconditioner release.
-  NormalPreconditioner precond(kernels.symbolic(), options.preconditioner);
-  ladder.preconditioner = precond.get();
+  // Block-Jacobi over the shape-shared symbolic plan, numeric-refreshed from
+  // J^T J every iteration below.
+  linalg::BlockJacobiPreconditioner precond(kernels.symbolic().block_plan);
+  ladder.preconditioner = &precond;
 
   // IRLS state (robust loss only); the robust-off iteration touches none of
   // it and stays bit-identical to the pre-robust solver.
@@ -229,8 +151,8 @@ FullSystemResult solve_kernels(const equations::EquationSystem& system,
     }
     for (Real& v : rhs) v = -v;
     // Conditioning guardrails: abort on a poisoned gradient instead of
-    // iterating on garbage, and hand the ladder the cheap diagonal condition
-    // estimate so an ill-conditioned J^T W J can draw a stronger ridge.
+    // iterating on garbage, and record the cheap diagonal condition estimate
+    // of J^T W J for the quality report.
     if (!all_finite(rhs)) {
       result.termination = TerminationReason::kNumericalBreakdown;
       break;
@@ -241,10 +163,8 @@ FullSystemResult solve_kernels(const equations::EquationSystem& system,
       for (std::size_t i = 0; i < diag_slot.size(); ++i) {
         a_diag[i] = avals[static_cast<std::size_t>(diag_slot[i])];
       }
-      const Real condition = diagonal_condition_estimate(a_diag);
       result.robust.condition_estimate =
-          std::max(result.robust.condition_estimate, condition);
-      ladder.condition_estimate = condition;
+          std::max(result.robust.condition_estimate, diagonal_condition_estimate(a_diag));
     }
 
     const std::vector<Real> step =
@@ -308,8 +228,6 @@ FullSystemResult solve_kernels(const equations::EquationSystem& system,
   return result;
 }
 
-}  // namespace
-
 std::vector<Real> initial_guess(const equations::EquationSystem& system,
                                 const mea::Measurement& measurement,
                                 exec::Executor* executor) {
@@ -367,24 +285,6 @@ std::vector<Real> initial_guess(const equations::EquationSystem& system,
     executor->submit_bulk(0, pairs, kPairChunk, solve_pairs);
   }
   return x;
-}
-
-FullSystemResult solve_full_system(const equations::EquationSystem& system,
-                                   const mea::Measurement& measurement,
-                                   const FullSystemOptions& options) {
-  return solve_full_system(system, measurement, options, KernelContext{});
-}
-
-FullSystemResult solve_full_system(const equations::EquationSystem& system,
-                                   const mea::Measurement& measurement,
-                                   const FullSystemOptions& options,
-                                   const KernelContext& context) {
-  if (!options.use_kernels) {
-    PARMA_REQUIRE(options.robust.loss == RobustLoss::kNone,
-                  "robust loss requires the kernel path (use_kernels = true)");
-    return solve_legacy(system, measurement, options, context.executor);
-  }
-  return solve_kernels(system, measurement, options, context);
 }
 
 }  // namespace parma::solver

@@ -4,7 +4,10 @@
 // equations::generate_system -- resistances and pair voltages solved jointly,
 // exactly the system the paper's Parma forms. The system is overdetermined
 // by n^2 rows; each Gauss-Newton step solves the normal equations
-// J^T J delta = -J^T r with Jacobi-preconditioned CG on the sparse Jacobian.
+// J^T J delta = -J^T r with block-Jacobi-preconditioned CG, through the
+// CG -> Tikhonov -> dense fallback ladder (fallback.hpp). J, J^T J and the
+// residual are refreshed in place through the symbolic/numeric kernel layer
+// (system_kernels.hpp).
 //
 // Complements inverse_solver.hpp (which eliminates the voltages pair-by-pair
 // and is the faster production path); tests assert both recover the same
@@ -34,33 +37,10 @@ struct FullSystemOptions {
   /// first rung). See fallback.hpp.
   Real tikhonov_scale = 1e-8;
   Real tikhonov_tolerance_factor = 100.0;
-  /// Default: the symbolic/numeric kernel hot path (system_kernels.hpp) --
-  /// in-place J / J^T J refreshes and workspace CG, bit-identical to the
-  /// legacy rebuild-per-iteration path (asserted in tests/test_kernels.cpp).
-  /// false selects the legacy path (the benchmark baseline).
-  bool use_kernels = true;
   /// IRLS robust loss over the equation residuals (robust.hpp). kNone keeps
   /// the plain least-squares iteration bit-identical to the pre-robust
-  /// solver; kHuber/kTukey require use_kernels (the weighted refresh lives in
-  /// the kernel layer).
+  /// solver.
   RobustOptions robust;
-  /// When > 0: the per-iteration diagonal condition estimate of J^T J above
-  /// this target scales the fallback ladder's rung-2 ridge proportionally
-  /// (see FallbackOptions::adaptive_tikhonov_target). 0 = the fixed ridge.
-  Real adaptive_tikhonov_target = 0.0;
-  /// Preconditioner for the per-step normal-equation CG (kernel path only;
-  /// the legacy path keeps its inline Jacobi). Built once against the
-  /// symbolic pattern, refreshed in place from the current J^T J values each
-  /// Gauss-Newton iteration -- IRLS-weighted refreshes included. kJacobi is
-  /// bit-identical to every pre-preconditioner release; kBlockJacobi (the
-  /// default) solves one small dense SPD system per electrode row / voltage
-  /// group per application, cutting CG iterations at a per-iteration cost
-  /// that amortizes against the saved SpMVs (measured in bench/solver_hotpath).
-  linalg::PreconditionerKind preconditioner = linalg::PreconditionerKind::kBlockJacobi;
-  /// Opt-in mixed-precision pre-rung for the per-step solve (float SpMV
-  /// inside double iterative refinement; see IterativeOptions::mixed_precision
-  /// for the accuracy gate). Off by default; changes numerics when on.
-  bool mixed_precision = false;
 };
 
 /// Optional amortization state for solve_full_system: a warm executor to
@@ -88,8 +68,8 @@ struct FullSystemResult {
   /// kNumericalBreakdown instead of masquerading as a stall or max-iterations.
   TerminationReason termination = TerminationReason::kMaxIterations;
   /// Robust-estimation diagnostics: final scale, down-weighted entries,
-  /// condition estimate, masked-entry count (kernel path; enabled reflects
-  /// whether a robust loss ran).
+  /// condition estimate, masked-entry count (enabled reflects whether a
+  /// robust loss ran).
   RobustReport robust;
 };
 

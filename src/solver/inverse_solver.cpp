@@ -239,22 +239,6 @@ InverseResult recover_resistances(const mea::Measurement& measurement,
   if (prior_on) log_offset.assign(static_cast<std::size_t>(pairs), Real{0.0});
 
   Real lambda = options.initial_lambda;
-  // One CG workspace reused by every damped ladder solve across all LM
-  // iterations and retries (the damped systems share their size).
-  linalg::CgWorkspace ladder_workspace;
-  // Optional block-Jacobi over the damped normal matrix: one dense block per
-  // device row of log-resistances, refreshed from each damped attempt.
-  // kJacobi leaves this null -- the ladder's historical inline diagonal.
-  std::unique_ptr<linalg::BlockJacobiPreconditioner> ladder_precond;
-  linalg::IdentityPreconditioner identity_precond;
-  if (options.use_fallback_ladder &&
-      (options.ladder_preconditioner == linalg::PreconditionerKind::kBlockJacobi ||
-       options.ladder_preconditioner == linalg::PreconditionerKind::kIc0)) {
-    std::vector<Index> block_ptr;
-    block_ptr.reserve(static_cast<std::size_t>(rows) + 1);
-    for (Index i = 0; i <= rows; ++i) block_ptr.push_back(i * cols);
-    ladder_precond = std::make_unique<linalg::BlockJacobiPreconditioner>(std::move(block_ptr));
-  }
   ForwardSweep sweep;
   Real misfit = std::numeric_limits<Real>::quiet_NaN();
   try {
@@ -355,12 +339,12 @@ InverseResult recover_resistances(const mea::Measurement& measurement,
       break;
     }
 
-    // Cheap conditioning proxy of the (weighted) normal matrix; drives the
-    // ladder's adaptive ridge and the quality report.
+    // Cheap conditioning proxy of the (weighted) normal matrix for the
+    // quality report.
     std::vector<Real> diag(static_cast<std::size_t>(pairs));
     for (Index d = 0; d < pairs; ++d) diag[static_cast<std::size_t>(d)] = jtj(d, d);
-    const Real condition = diagonal_condition_estimate(diag);
-    result.robust.condition_estimate = std::max(result.robust.condition_estimate, condition);
+    result.robust.condition_estimate =
+        std::max(result.robust.condition_estimate, diagonal_condition_estimate(diag));
 
     bool accepted = false;
     bool any_finite_candidate = false;
@@ -371,25 +355,8 @@ InverseResult recover_resistances(const mea::Measurement& measurement,
       }
       std::vector<Real> delta;
       try {
-        if (options.use_fallback_ladder) {
-          FallbackOptions ladder;
-          ladder.cg.max_iterations = options.ladder_cg_max_iterations;
-          ladder.cg.tolerance = options.ladder_cg_tolerance;
-          ladder.adaptive_tikhonov_target = options.adaptive_tikhonov_target;
-          ladder.condition_estimate = condition;
-          if (ladder_precond != nullptr) {
-            ladder_precond->refresh(damped);
-            ladder.preconditioner = ladder_precond.get();
-          } else if (options.ladder_preconditioner ==
-                     linalg::PreconditionerKind::kIdentity) {
-            ladder.preconditioner = &identity_precond;
-          }
-          delta = solve_with_fallback(damped, rhs, ladder, result.diagnostics,
-                                      ladder_workspace);
-        } else {
-          delta = linalg::solve_dense(damped, rhs);
-          ++result.diagnostics.linear_solves;
-        }
+        delta = linalg::solve_dense(damped, rhs);
+        ++result.diagnostics.linear_solves;
       } catch (const NumericalError&) {
         lambda *= options.lambda_grow;
         continue;

@@ -37,32 +37,10 @@ struct InverseOptions {
   /// `initial_resistance`; must match the device shape and be positive.
   std::optional<circuit::ResistanceGrid> initial_grid;
 
-  /// Route the damped normal-equation solves through the CG -> Tikhonov ->
-  /// dense fallback ladder (fallback.hpp) instead of going straight to the
-  /// dense LU. Off by default: the direct dense solve is the established
-  /// production numerics; the ladder is for resilient serving, where a
-  /// poisoned system should degrade (and be observable) rather than throw.
-  bool use_fallback_ladder = false;
-  /// Rung 1 CG iteration cap when use_fallback_ladder is set.
-  Index ladder_cg_max_iterations = 500;
-  /// Rung 1 CG relative tolerance when use_fallback_ladder is set.
-  Real ladder_cg_tolerance = 1e-12;
-  /// Preconditioner for the ladder's CG rungs (only read with
-  /// use_fallback_ladder). kJacobi = the historical inline diagonal,
-  /// bit-identical to previous releases. kBlockJacobi factors one dense
-  /// cols-sized block per device row of the damped normal matrix, refreshed
-  /// every damped attempt. kIc0 is not meaningful on this dense path and is
-  /// treated as kBlockJacobi.
-  linalg::PreconditionerKind ladder_preconditioner = linalg::PreconditionerKind::kJacobi;
-
   /// IRLS robust loss over the per-pair impedance residuals (robust.hpp).
   /// kNone keeps the iteration bit-identical to the pre-robust LM. Masked
   /// measurement entries are excluded from the fit either way.
   RobustOptions robust;
-  /// When > 0: the diagonal condition estimate of J^T J above this target
-  /// scales the fallback ladder's rung-2 ridge (only meaningful with
-  /// use_fallback_ladder). 0 = fixed ridge.
-  Real adaptive_tikhonov_target = 0.0;
 
   /// MAP prior strength for masked solves, as a fraction of the median
   /// J^T J diagonal. A masked pair's terminal equations are gone, so its
@@ -83,8 +61,8 @@ struct InverseResult {
   bool converged = false;
   Real final_misfit = 0.0;              ///< relative RMS of Z_model vs Z_measured
   std::vector<Real> misfit_history;     ///< one entry per accepted iteration
-  /// Linear-solve fallback usage (populated when use_fallback_ladder is on;
-  /// otherwise records the dense solves as kDense-free direct solves).
+  /// Linear-solve counts: every damped normal-equation solve is one direct
+  /// dense solve (linear_solves); no CG rung runs on this path.
   SolveDiagnostics diagnostics;
   /// Why the LM loop stopped; a non-finite misfit on every damped attempt
   /// reports kNumericalBreakdown instead of looking like a stall.

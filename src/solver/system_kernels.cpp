@@ -37,11 +37,6 @@ Index find_slot(const std::vector<Index>& col_idx, Index begin, Index end, Index
 
 std::shared_ptr<const SystemSymbolic> SystemSymbolic::analyze(
     const equations::EquationSystem& system) {
-  return analyze(system, AnalyzeOptions{});
-}
-
-std::shared_ptr<const SystemSymbolic> SystemSymbolic::analyze(
-    const equations::EquationSystem& system, const AnalyzeOptions& options) {
   auto sym = std::make_shared<SystemSymbolic>();
   const Index rows = static_cast<Index>(system.equations.size());
   const Index cols = system.layout.num_unknowns();
@@ -121,31 +116,6 @@ std::shared_ptr<const SystemSymbolic> SystemSymbolic::analyze(
     }
   }
 
-  // Per-electrode preconditioner blocks: device rows of resistances first,
-  // then each endpoint pair's contiguous voltage group (see the layout
-  // ordering in equations/layout.hpp). Built in both modes -- the matrix-free
-  // large-n path factors these blocks straight from J.
-  {
-    const auto& layout = system.layout;
-    sym->precond_block_ptr.push_back(0);
-    for (Index i = 0; i < layout.rows(); ++i) {
-      sym->precond_block_ptr.push_back(sym->precond_block_ptr.back() + layout.cols());
-    }
-    const Index vpp = layout.voltages_per_pair();
-    if (vpp > 0) {
-      for (Index p = 0; p < layout.num_pairs(); ++p) {
-        sym->precond_block_ptr.push_back(sym->precond_block_ptr.back() + vpp);
-      }
-    }
-    PARMA_REQUIRE(sym->precond_block_ptr.back() == cols,
-                  "preconditioner blocks must tile the unknown vector");
-  }
-
-  if (!options.build_normal) {
-    sym->has_normal = false;
-    return sym;
-  }
-
   // Gustavson symbolic pass for A = J^T J: the pattern of A-row i is the
   // union of J-row patterns over the rows touching column i, plus the forced
   // diagonal (the in-place Tikhonov ridge needs A(i, i) present even when no
@@ -183,12 +153,19 @@ std::shared_ptr<const SystemSymbolic> SystemSymbolic::analyze(
                   sym->a_row_ptr[static_cast<std::size_t>(i) + 1], i);
   }
 
-  // Preconditioner plans over the finished A pattern (the symbolic phase of
-  // the block-Jacobi and IC0 preconditioners; see linalg/preconditioner.hpp).
+  // Per-electrode block-Jacobi plan over the finished A pattern: device rows
+  // of resistances first, then each endpoint pair's contiguous voltage group
+  // (see the layout ordering in equations/layout.hpp).
+  const auto& layout = system.layout;
+  std::vector<Index> block_ptr{0};
+  for (Index i = 0; i < layout.rows(); ++i) block_ptr.push_back(block_ptr.back() + layout.cols());
+  const Index vpp = layout.voltages_per_pair();
+  if (vpp > 0) {
+    for (Index p = 0; p < layout.num_pairs(); ++p) block_ptr.push_back(block_ptr.back() + vpp);
+  }
+  PARMA_REQUIRE(block_ptr.back() == cols, "preconditioner blocks must tile the unknown vector");
   sym->block_plan = linalg::BlockJacobiPreconditioner::Plan::analyze(
-      sym->precond_block_ptr, sym->a_row_ptr, sym->a_col_idx);
-  sym->ic0_pattern =
-      linalg::Ic0Preconditioner::Pattern::analyze(cols, sym->a_row_ptr, sym->a_col_idx);
+      std::move(block_ptr), sym->a_row_ptr, sym->a_col_idx);
 
   return sym;
 }
@@ -202,7 +179,6 @@ SystemKernels::SystemKernels(const equations::EquationSystem& system,
                 "symbolic structure does not match the equation system shape");
   j_ = linalg::CsrMatrix(symbolic_->rows, symbolic_->cols, symbolic_->j_row_ptr,
                          symbolic_->j_col_idx, std::vector<Real>(symbolic_->j_nnz(), 0.0));
-  if (!symbolic_->has_normal) return;  // jacobian-only mode: no A, no padded shadow
   a_ = linalg::CsrMatrix(symbolic_->cols, symbolic_->cols, symbolic_->a_row_ptr,
                          symbolic_->a_col_idx, std::vector<Real>(symbolic_->a_nnz(), 0.0));
   padded_a_ = linalg::PaddedCsrChunks(a_, kSpmvRowChunk);
@@ -261,9 +237,6 @@ void SystemKernels::refresh_normal_weighted(const std::vector<Real>& row_weights
 
 void SystemKernels::refresh_normal_impl(const Real* row_weights, exec::Executor* executor) {
   const SystemSymbolic& sym = *symbolic_;
-  PARMA_REQUIRE(sym.has_normal,
-                "refresh_normal needs a build_normal symbolic (jacobian-only mode "
-                "drives CG through MatrixFreeNormalOperator instead)");
   auto& avals = a_.values_mut();
   const auto& jvals = j_.values();
   run_chunked(executor, sym.cols, normal_chunk_rows_, [&](Index lo, Index hi) {
@@ -321,11 +294,6 @@ void SystemKernels::residual_into(const std::vector<Real>& x, std::vector<Real>&
           equations::equation_residual(eqs[static_cast<std::size_t>(row)], x);
     }
   });
-}
-
-ParallelCsrOperator::ParallelCsrOperator(const linalg::CsrMatrix& a, exec::Executor* executor)
-    : a_(&a), executor_(executor) {
-  PARMA_REQUIRE(a.rows() == a.cols(), "CG needs a square matrix");
 }
 
 ParallelCsrOperator::ParallelCsrOperator(const linalg::CsrMatrix& a, exec::Executor* executor,
@@ -391,135 +359,6 @@ Real ParallelCsrOperator::dot(const std::vector<Real>& a, const std::vector<Real
   Real sum = 0.0;
   for (std::size_t c = 0; c < chunks; ++c) sum += partials[c];
   return sum;
-}
-
-MatrixFreeNormalOperator::MatrixFreeNormalOperator(const linalg::CsrMatrix& j,
-                                                   const SystemSymbolic& symbolic,
-                                                   exec::Executor* executor)
-    : j_(&j), sym_(&symbolic), executor_(executor) {
-  PARMA_REQUIRE(j.rows() == symbolic.rows && j.cols() == symbolic.cols,
-                "jacobian does not match the symbolic shape");
-}
-
-void MatrixFreeNormalOperator::multiply_into(const std::vector<Real>& x,
-                                             std::vector<Real>& y) const {
-  const Index rows = j_->rows();
-  t_.resize(static_cast<std::size_t>(rows));
-  if (executor_ == nullptr || rows < kSerialRowThreshold) {
-    j_->multiply_rows_into(x, t_, 0, rows);
-  } else {
-    executor_->submit_bulk(0, rows, kSpmvRowChunk, [&](Index lo, Index hi) {
-      j_->multiply_rows_into(x, t_, lo, hi);
-    });
-  }
-  // The transpose scatter sums column contributions in ascending equation
-  // order -- serial, so the order (and the bits) never depend on the backend.
-  j_->multiply_transpose_into(t_, y);
-}
-
-void MatrixFreeNormalOperator::diagonal_into(std::vector<Real>& d) const {
-  const SystemSymbolic& sym = *sym_;
-  const auto& jvals = j_->values();
-  d.assign(static_cast<std::size_t>(sym.cols), 0.0);
-  for (Index i = 0; i < sym.cols; ++i) {
-    Real sum = 0.0;
-    for (Index idx = sym.jt_col_ptr[static_cast<std::size_t>(i)];
-         idx < sym.jt_col_ptr[static_cast<std::size_t>(i) + 1]; ++idx) {
-      const Real v = jvals[static_cast<std::size_t>(sym.jt_slot[static_cast<std::size_t>(idx)])];
-      sum += v * v;
-    }
-    d[static_cast<std::size_t>(i)] = sum;
-  }
-}
-
-Real MatrixFreeNormalOperator::dot(const std::vector<Real>& a, const std::vector<Real>& b,
-                                   std::vector<Real>& partials) const {
-  const std::size_t chunks = linalg::dot_chunk_count(a.size());
-  if (executor_ == nullptr || chunks == 1) return linalg::ordered_dot(a, b, partials);
-  partials.resize(chunks);
-  executor_->submit_bulk(0, static_cast<Index>(chunks), 1, [&](Index lo, Index hi) {
-    for (Index c = lo; c < hi; ++c) {
-      partials[static_cast<std::size_t>(c)] =
-          linalg::dot_chunk_partial(a, b, static_cast<std::size_t>(c));
-    }
-  });
-  Real sum = 0.0;
-  for (std::size_t c = 0; c < chunks; ++c) sum += partials[c];
-  return sum;
-}
-
-void refresh_block_jacobi_from_jacobian(const linalg::CsrMatrix& j,
-                                        const SystemSymbolic& symbolic,
-                                        linalg::BlockJacobiPreconditioner& precond,
-                                        exec::Executor* executor) {
-  const auto& bp = precond.block_ptr();
-  PARMA_REQUIRE(bp.back() == symbolic.cols, "block structure does not match the unknowns");
-  const auto& offsets = precond.packed_offset();
-  const auto& jvals = j.values();
-  const auto& j_row_ptr = j.row_ptr();
-  const auto& j_col_idx = j.col_idx();
-  auto& packed = precond.packed_mut();
-  std::fill(packed.begin(), packed.end(), 0.0);
-  const Index blocks = static_cast<Index>(bp.size()) - 1;
-  run_chunked(executor, blocks, 1, [&](Index blo, Index bhi) {
-    for (Index b = blo; b < bhi; ++b) {
-      const Index lo = bp[static_cast<std::size_t>(b)];
-      const Index hi = bp[static_cast<std::size_t>(b) + 1];
-      const Index bs = hi - lo;
-      Real* m = packed.data() + offsets[static_cast<std::size_t>(b)];
-      for (Index i = lo; i < hi; ++i) {
-        Real* mi = m + (i - lo) * bs - lo;  // block-local row i, global-column indexed
-        for (Index idx = symbolic.jt_col_ptr[static_cast<std::size_t>(i)];
-             idx < symbolic.jt_col_ptr[static_cast<std::size_t>(i) + 1]; ++idx) {
-          const Index r = symbolic.jt_row_idx[static_cast<std::size_t>(idx)];
-          const Real j_ri = jvals[static_cast<std::size_t>(
-              symbolic.jt_slot[static_cast<std::size_t>(idx)])];
-          // Columns of equation row r restricted to [lo, i] by binary search:
-          // only the block's lower triangle is accumulated.
-          const auto row_begin = j_col_idx.begin() + j_row_ptr[static_cast<std::size_t>(r)];
-          const auto row_end = j_col_idx.begin() + j_row_ptr[static_cast<std::size_t>(r) + 1];
-          for (auto it = std::lower_bound(row_begin, row_end, lo);
-               it != row_end && *it <= i; ++it) {
-            const Index k = static_cast<Index>(it - j_col_idx.begin());
-            mi[*it] += j_ri * jvals[static_cast<std::size_t>(k)];
-          }
-        }
-      }
-    }
-  });
-  precond.factor_packed();
-}
-
-NormalPreconditioner::NormalPreconditioner(const SystemSymbolic& symbolic,
-                                           linalg::PreconditionerKind kind)
-    : kind_(kind) {
-  switch (kind) {
-    case linalg::PreconditionerKind::kJacobi:
-      break;  // null impl_: conjugate_gradient_with's inline-Jacobi path
-    case linalg::PreconditionerKind::kIdentity:
-      impl_ = std::make_unique<linalg::IdentityPreconditioner>();
-      break;
-    case linalg::PreconditionerKind::kBlockJacobi: {
-      PARMA_REQUIRE(symbolic.block_plan != nullptr,
-                    "block-Jacobi needs a build_normal symbolic");
-      auto block = std::make_unique<linalg::BlockJacobiPreconditioner>(symbolic.block_plan);
-      block_ = block.get();
-      impl_ = std::move(block);
-      break;
-    }
-    case linalg::PreconditionerKind::kIc0: {
-      PARMA_REQUIRE(symbolic.ic0_pattern != nullptr, "IC0 needs a build_normal symbolic");
-      auto ic0 = std::make_unique<linalg::Ic0Preconditioner>(symbolic.ic0_pattern);
-      ic0_ = ic0.get();
-      impl_ = std::move(ic0);
-      break;
-    }
-  }
-}
-
-void NormalPreconditioner::refresh(const linalg::CsrMatrix& a) {
-  if (block_ != nullptr) block_->refresh(a);
-  if (ic0_ != nullptr) ic0_->refresh(a);
 }
 
 linalg::CsrMatrix reference_normal_matrix(const linalg::CsrMatrix& j,

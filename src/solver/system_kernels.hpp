@@ -41,21 +41,11 @@
 
 namespace parma::solver {
 
-/// What SystemSymbolic::analyze builds beyond the Jacobian structure.
-/// build_normal=false is the large-n mode: A = JᵀJ has ≈4n⁵ nonzeros and
-/// stops being formable around n=64 (n=100 would need ~640 GB), while J
-/// (≈4n⁴) still fits -- kernels built from a jacobian-only symbolic drive
-/// CG through MatrixFreeNormalOperator instead of an explicit A.
-struct AnalyzeOptions {
-  bool build_normal = true;
-};
-
 /// Shape-invariant symbolic structure of one EquationSystem. Immutable after
 /// analyze(); share one instance across all systems of a shape.
 struct SystemSymbolic {
   Index rows = 0;  ///< equations
   Index cols = 0;  ///< unknowns
-  bool has_normal = true;  ///< A pattern + preconditioner plans present
 
   /// Structural CSR pattern of J: every slot a term can touch, kept even
   /// when the numeric value happens to be exactly zero (ZeroPolicy::kKeep
@@ -84,20 +74,14 @@ struct SystemSymbolic {
   std::vector<Index> jt_row_idx;
   std::vector<Index> jt_slot;
 
-  /// Per-electrode preconditioner blocks over the unknown layout: one block
-  /// per device row of resistances (they couple through shared wire
-  /// equations), one block per endpoint pair's contiguous voltage group
-  /// (those unknowns appear only in that pair's equations). Built even in
-  /// jacobian-only mode -- the matrix-free path extracts its block diagonals
-  /// straight from J.
-  std::vector<Index> precond_block_ptr;
-  /// Symbolic preconditioner plans over A's pattern (null without
-  /// build_normal): the block-Jacobi CSR-slot scatter map and the IC0
-  /// lower-triangular fill pattern. Shared via the same FormationCache entry
+  /// Block-Jacobi plan over A's pattern: per-electrode blocks over the
+  /// unknown layout -- one block per device row of resistances (they couple
+  /// through shared wire equations), one per endpoint pair's contiguous
+  /// voltage group (those unknowns appear only in that pair's equations) --
+  /// plus the CSR-slot scatter map. Shared via the same FormationCache entry
   /// as the rest of the symbolic, so per-solve preconditioner construction is
   /// numeric-only.
   std::shared_ptr<const linalg::BlockJacobiPreconditioner::Plan> block_plan;
-  std::shared_ptr<const linalg::Ic0Preconditioner::Pattern> ic0_pattern;
 
   [[nodiscard]] std::size_t j_nnz() const { return j_col_idx.size(); }
   [[nodiscard]] std::size_t a_nnz() const { return a_col_idx.size(); }
@@ -107,8 +91,6 @@ struct SystemSymbolic {
   /// system of the same device shape.
   static std::shared_ptr<const SystemSymbolic> analyze(
       const equations::EquationSystem& system);
-  static std::shared_ptr<const SystemSymbolic> analyze(
-      const equations::EquationSystem& system, const AnalyzeOptions& options);
 };
 
 /// Fixed parallel-chunk sizing (pure functions of the row count; never of
@@ -142,8 +124,7 @@ class SystemKernels {
 
   /// Cache-line-aligned, chunk-contiguous shadow of A's values, refreshed in
   /// lockstep by refresh_normal: the SIMD-friendly SpMV layout for the CG
-  /// rungs (bit-identical products; see linalg::PaddedCsrChunks). Only with a
-  /// build_normal symbolic.
+  /// rungs (bit-identical products; see linalg::PaddedCsrChunks).
   [[nodiscard]] const linalg::PaddedCsrChunks& padded_normal() const { return padded_a_; }
 
   /// Scatter-map refresh of J's values at x: zero the row's slots, then
@@ -193,12 +174,11 @@ class SystemKernels {
 /// executor (or a small system) runs serially.
 class ParallelCsrOperator {
  public:
-  ParallelCsrOperator(const linalg::CsrMatrix& a, exec::Executor* executor);
   /// With a padded shadow of `a` (same pattern, kSpmvRowChunk chunking), the
   /// SpMV streams the aligned chunk slabs instead -- identical arithmetic
   /// order, identical bits, vectorization-friendly loads.
   ParallelCsrOperator(const linalg::CsrMatrix& a, exec::Executor* executor,
-                      const linalg::PaddedCsrChunks* padded);
+                      const linalg::PaddedCsrChunks* padded = nullptr);
 
   [[nodiscard]] Index rows() const { return a_->rows(); }
   void multiply_into(const std::vector<Real>& x, std::vector<Real>& y) const;
@@ -212,70 +192,9 @@ class ParallelCsrOperator {
   const linalg::PaddedCsrChunks* padded_ = nullptr;
 };
 
-/// Matrix-free normal operator y = Jᵀ(J x) for conjugate_gradient_with: CG at
-/// sizes where the explicit A = JᵀJ (≈4n⁵ nonzeros, ~640 GB at n=100) can no
-/// longer be formed while J (≈4n⁴) still can. The J x product parallelizes
-/// over fixed row chunks (disjoint writes); the Jᵀ t scatter and the dot
-/// reductions keep the serial summation orders, so results are bit-identical
-/// across backends. diagonal_into computes diag(JᵀJ) = Σ_r J(r, i)² from the
-/// symbolic CSC view -- rung-1 Jacobi needs no A either.
-class MatrixFreeNormalOperator {
- public:
-  MatrixFreeNormalOperator(const linalg::CsrMatrix& j, const SystemSymbolic& symbolic,
-                           exec::Executor* executor);
-
-  [[nodiscard]] Index rows() const { return j_->cols(); }
-  void multiply_into(const std::vector<Real>& x, std::vector<Real>& y) const;
-  void diagonal_into(std::vector<Real>& d) const;
-  [[nodiscard]] Real dot(const std::vector<Real>& a, const std::vector<Real>& b,
-                         std::vector<Real>& partials) const;
-
- private:
-  const linalg::CsrMatrix* j_;
-  const SystemSymbolic* sym_;
-  exec::Executor* executor_;
-  mutable std::vector<Real> t_;  ///< J x intermediate (equation space)
-};
-
-/// Numeric refresh of a block-Jacobi preconditioner straight from J's values
-/// (never forming A): packed block (i, c) = Σ_r J(r, i) J(r, c), lower
-/// triangles only, then factor. The per-(column, equation) row scans restrict
-/// to the block's column range by binary search, so the cost is
-/// O(j_nnz · (log row-nnz + intra-block entries)) -- feasible at n=100 where
-/// a full JᵀJ product is not. Blocks are independent: executor-parallel with
-/// bit-identical results.
-void refresh_block_jacobi_from_jacobian(const linalg::CsrMatrix& j,
-                                        const SystemSymbolic& symbolic,
-                                        linalg::BlockJacobiPreconditioner& precond,
-                                        exec::Executor* executor = nullptr);
-
-/// Per-solve preconditioner facade over the symbolic plans: construction
-/// picks the implementation (kJacobi maps to a null Preconditioner* -- the
-/// historical inline-Jacobi CG path, bit-identical to every prior release);
-/// refresh() is the in-pattern numeric phase, called once per outer
-/// iteration after refresh_normal.
-class NormalPreconditioner {
- public:
-  NormalPreconditioner(const SystemSymbolic& symbolic, linalg::PreconditionerKind kind);
-
-  /// Numeric refresh from the current normal matrix. No-op for
-  /// kJacobi/kIdentity.
-  void refresh(const linalg::CsrMatrix& a);
-
-  /// The pointer to hand FallbackOptions::preconditioner (null for kJacobi).
-  [[nodiscard]] const linalg::Preconditioner* get() const { return impl_.get(); }
-  [[nodiscard]] linalg::PreconditionerKind kind() const { return kind_; }
-
- private:
-  linalg::PreconditionerKind kind_;
-  std::unique_ptr<linalg::Preconditioner> impl_;
-  linalg::BlockJacobiPreconditioner* block_ = nullptr;  ///< typed view into impl_
-  linalg::Ic0Preconditioner* ic0_ = nullptr;            ///< typed view into impl_
-};
-
 /// The pre-kernel JᵀJ construction (CooBuilder with an O(row-nnz²) triple
 /// loop plus a sort): the reference the kernel refresh is benchmarked and
-/// bit-compared against, and the baseline the legacy solver path still uses.
+/// bit-compared against.
 [[nodiscard]] linalg::CsrMatrix reference_normal_matrix(
     const linalg::CsrMatrix& j, linalg::ZeroPolicy policy = linalg::ZeroPolicy::kDrop);
 

@@ -3,8 +3,9 @@
 //  * kernel-refreshed J and J^T J match the CooBuilder-built matrices bitwise;
 //  * refreshes, residuals, and the initial guess are bit-identical across
 //    serial/pooled/stealing backends and worker counts;
-//  * the workspace CG matches the allocate-per-call CG bitwise;
-//  * the serial kernel solver path matches the legacy solver path bitwise.
+//  * the executor-backed CG operator matches the serial one bitwise;
+//  * the workspace ladder's rungs match direct (ridged) CG bitwise;
+//  * the full solve is bit-identical across backends.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "equations/generator.hpp"
 #include "equations/residual.hpp"
 #include "exec/executor.hpp"
+#include "fault/injector.hpp"
 #include "linalg/iterative.hpp"
 #include "mea/generator.hpp"
 #include "mea/measurement.hpp"
@@ -167,7 +169,7 @@ TEST(WorkspaceCg, MatchesAllocatingCgBitwise) {
   expect_bitwise_equal(par_result.x, legacy.x, "parallel cg iterate");
 }
 
-TEST(WorkspaceLadder, MatchesLegacyLadderOnCgRung) {
+TEST(WorkspaceLadder, CgRungMatchesDirectCgBitwise) {
   const Scenario s = make_scenario(4, 48);
   const equations::EquationSystem system = equations::generate_system(s.measurement);
   const std::vector<Real> x = initial_guess(system, s.measurement);
@@ -180,18 +182,18 @@ TEST(WorkspaceLadder, MatchesLegacyLadderOnCgRung) {
   options.cg.max_iterations = 500;
   options.cg.tolerance = 1e-12;
 
-  SolveDiagnostics legacy_diag;
-  const std::vector<Real> legacy = solve_with_fallback(a, b, options, legacy_diag);
+  const linalg::IterativeResult direct = linalg::conjugate_gradient(a, b, options.cg);
+  ASSERT_TRUE(direct.converged);
 
-  SolveDiagnostics ws_diag;
+  SolveDiagnostics diag;
   LadderWorkspace workspace;
-  const std::vector<Real> ws = solve_with_fallback(a, b, options, ws_diag, workspace);
-  EXPECT_EQ(ws_diag.highest_rung, legacy_diag.highest_rung);
-  EXPECT_EQ(ws_diag.cg_iterations, legacy_diag.cg_iterations);
-  expect_bitwise_equal(ws, legacy, "ladder solution");
+  const std::vector<Real> ws = solve_with_fallback(a, b, options, diag, workspace);
+  EXPECT_EQ(diag.highest_rung, FallbackRung::kCg);
+  EXPECT_EQ(diag.cg_iterations, direct.iterations);
+  expect_bitwise_equal(ws, direct.x, "ladder solution");
 }
 
-TEST(WorkspaceLadder, MatchesLegacyLadderOnTikhonovRung) {
+TEST(WorkspaceLadder, TikhonovRungMatchesRidgedCgBitwise) {
   const Scenario s = make_scenario(3, 49);
   const equations::EquationSystem system = equations::generate_system(s.measurement);
   const std::vector<Real> x = initial_guess(system, s.measurement);
@@ -200,47 +202,43 @@ TEST(WorkspaceLadder, MatchesLegacyLadderOnTikhonovRung) {
   std::vector<Real> b = jac.multiply_transpose(equations::system_residual(system, x));
   for (Real& v : b) v = -v;
 
-  // Starve rung 1 so both ladders must escalate to the ridged retry.
   FallbackOptions options;
-  options.cg.max_iterations = 3;
-  options.cg.tolerance = 1e-15;
-  options.tikhonov_tolerance_factor = 1e9;
+  options.cg.max_iterations = 500;
+  options.cg.tolerance = 1e-12;
 
-  SolveDiagnostics legacy_diag;
-  const std::vector<Real> legacy = solve_with_fallback(a, b, options, legacy_diag);
-  ASSERT_GE(legacy_diag.highest_rung, FallbackRung::kTikhonov);
-
-  SolveDiagnostics ws_diag;
-  LadderWorkspace workspace;
-  const std::vector<Real> ws = solve_with_fallback(a, b, options, ws_diag, workspace);
-  EXPECT_EQ(ws_diag.highest_rung, legacy_diag.highest_rung);
-  EXPECT_EQ(ws_diag.tikhonov_retries, legacy_diag.tikhonov_retries);
-  expect_bitwise_equal(ws, legacy, "ridged ladder solution");
-}
-
-TEST(FullSystem, SerialKernelPathMatchesLegacyPathBitwise) {
-  for (const Index n : {Index{3}, Index{4}}) {
-    const Scenario s = make_scenario(n, 50 + static_cast<std::uint64_t>(n));
-    const equations::EquationSystem system = equations::generate_system(s.measurement);
-
-    FullSystemOptions legacy_options;
-    legacy_options.max_iterations = 12;
-    legacy_options.use_kernels = false;
-    // The legacy path has no preconditioner seam: pin the kernel run to the
-    // inline Jacobi it has always used so the comparison stays bit-level.
-    legacy_options.preconditioner = linalg::PreconditionerKind::kJacobi;
-    const FullSystemResult legacy = solve_full_system(system, s.measurement, legacy_options);
-
-    FullSystemOptions kernel_options = legacy_options;
-    kernel_options.use_kernels = true;
-    const FullSystemResult kernel = solve_full_system(system, s.measurement, kernel_options);
-
-    EXPECT_EQ(kernel.iterations, legacy.iterations);
-    EXPECT_EQ(kernel.converged, legacy.converged);
-    EXPECT_EQ(kernel.final_residual_rms, legacy.final_residual_rms);
-    expect_bitwise_equal(kernel.residual_history, legacy.residual_history, "history");
-    expect_bitwise_equal(kernel.unknowns, legacy.unknowns, "unknowns");
+  // Reference: CG on A + tau I (tau = tikhonov_scale * max |diag(A)|) at the
+  // relaxed tolerance, warm-started from the failed rung 1's zero iterate.
+  Real max_diag = 0.0;
+  for (Real d : a.diagonal()) max_diag = std::max(max_diag, std::abs(d));
+  const Real tau = std::max(options.tikhonov_scale * max_diag, Real{1e-300});
+  linalg::CooBuilder builder(a.rows(), a.cols());
+  for (Index r = 0; r < a.rows(); ++r) {
+    for (Index k = a.row_ptr()[static_cast<std::size_t>(r)];
+         k < a.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
+      builder.add(r, a.col_idx()[static_cast<std::size_t>(k)],
+                  a.values()[static_cast<std::size_t>(k)]);
+    }
   }
+  for (Index d = 0; d < a.rows(); ++d) builder.add(d, d, tau);
+  linalg::IterativeOptions relaxed = options.cg;
+  relaxed.tolerance = options.cg.tolerance * options.tikhonov_tolerance_factor;
+  const linalg::IterativeResult ridged = linalg::conjugate_gradient(
+      builder.build(), b, relaxed, std::vector<Real>(b.size(), 0.0));
+  ASSERT_TRUE(ridged.converged);
+
+  // Force exactly one CG non-convergence: rung 1 fails, the ridged retry runs.
+  SolveDiagnostics diag;
+  LadderWorkspace workspace;
+  std::vector<Real> ws;
+  {
+    fault::ScopedInjector chaos(49);
+    chaos->arm(fault::Point::kCgNonConvergence, {.probability = 1.0, .max_fires = 1});
+    ws = solve_with_fallback(a, b, options, diag, workspace);
+  }
+  ASSERT_EQ(diag.highest_rung, FallbackRung::kTikhonov);
+  EXPECT_EQ(diag.tikhonov_retries, 1);
+  EXPECT_EQ(diag.cg_iterations, ridged.iterations);
+  expect_bitwise_equal(ws, ridged.x, "ridged ladder solution");
 }
 
 TEST(FullSystem, ParallelKernelPathMatchesSerialBitwise) {

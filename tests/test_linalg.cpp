@@ -200,23 +200,6 @@ TEST(ConjugateGradient, ZeroRhsGivesZero) {
   EXPECT_DOUBLE_EQ(norm2(result.x), 0.0);
 }
 
-TEST(GaussSeidel, ConvergesOnDiagonallyDominant) {
-  CooBuilder builder(3, 3);
-  const Real diag = 10.0;
-  for (Index i = 0; i < 3; ++i) {
-    builder.add(i, i, diag);
-    if (i + 1 < 3) {
-      builder.add(i, i + 1, 1.0);
-      builder.add(i + 1, i, 1.0);
-    }
-  }
-  const CsrMatrix a = builder.build();
-  const std::vector<Real> x_true{1.0, -2.0, 0.5};
-  const IterativeResult result = gauss_seidel(a, a.multiply(x_true));
-  EXPECT_TRUE(result.converged);
-  EXPECT_LT(relative_error(result.x, x_true), 1e-8);
-}
-
 // --- Effective resistance: closed-form circuits ----------------------------
 
 TEST(EffectiveResistance, SeriesChain) {

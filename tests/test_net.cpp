@@ -271,7 +271,7 @@ TEST(NetProtocol, MidPayloadTruncationSurfacesWhenBodyArrivesShort) {
   std::vector<std::uint8_t> bytes = encode_request(request);
   const std::uint32_t rows = 64;  // body still carries 3x3 worth of samples
   std::memcpy(&bytes[kHeaderBytes + 16], &rows, sizeof rows);
-  patch_body_checksum(bytes);  // keep integrity valid: the SHAPE is the lie
+  patch_frame_checksum(bytes);  // keep integrity valid: the SHAPE is the lie
 
   FrameDecoder decoder;
   decoder.feed(bytes);
@@ -283,7 +283,7 @@ TEST(NetProtocol, MidPayloadTruncationSurfacesWhenBodyArrivesShort) {
 TEST(NetProtocol, OutOfRangeEnumIsTyped) {
   std::vector<std::uint8_t> bytes = encode_request(make_wire_request(3, 5));
   bytes[kHeaderBytes + 0] = 9;  // priority: valid values are 0/1/2
-  patch_body_checksum(bytes);
+  patch_frame_checksum(bytes);
   FrameDecoder decoder;
   decoder.feed(bytes);
   Frame frame;
@@ -295,12 +295,49 @@ TEST(NetProtocol, DegenerateShapeIsTyped) {
   std::vector<std::uint8_t> bytes = encode_request(make_wire_request(3, 5));
   const std::uint32_t rows = 1;  // below the 2x2 minimum
   std::memcpy(&bytes[kHeaderBytes + 16], &rows, sizeof rows);
-  patch_body_checksum(bytes);
+  patch_frame_checksum(bytes);
   FrameDecoder decoder;
   decoder.feed(bytes);
   Frame frame;
   ASSERT_EQ(decoder.next(frame), FrameDecoder::Result::kError);
   EXPECT_EQ(decoder.error().code, ProtoCode::kBadShape);
+}
+
+TEST(NetProtocol, HeaderBitFlipsNeverDecodeAsAFrame) {
+  // The checksum covers header bytes 4-19 (version, type, request id, body
+  // length) as well as the body: a single flipped bit there must surface as
+  // a typed error -- or as kNeedMore when the flip grew body_len -- never as
+  // a decoded frame with the wrong type or id.
+  WireResponse response;
+  response.request_id = 0x0123456789abcdefULL;
+  response.status_code = serve::status_wire_code(serve::RequestStatus::kOk);
+  response.converged = true;
+  response.iterations = 4;
+  response.rows = 2;
+  response.cols = 2;
+  response.message = "ok";
+  response.field = {1.0, 2.0, 3.0, 4.0};
+  const std::vector<std::uint8_t> valid = encode_response(response);
+  const std::uint32_t valid_len = static_cast<std::uint32_t>(valid.size() - kHeaderBytes);
+
+  for (std::size_t byte = 4; byte < 20; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> bytes = valid;
+      bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      FrameDecoder decoder;
+      decoder.feed(bytes);
+      Frame frame;
+      const FrameDecoder::Result result = decoder.next(frame);
+      ASSERT_NE(result, FrameDecoder::Result::kFrame) << "byte " << byte << " bit " << bit;
+      if (result == FrameDecoder::Result::kError) {
+        EXPECT_NE(decoder.error().code, ProtoCode::kOk) << "byte " << byte << " bit " << bit;
+      } else {
+        std::uint32_t body_len = 0;
+        std::memcpy(&body_len, &bytes[16], sizeof body_len);
+        EXPECT_GT(body_len, valid_len) << "byte " << byte << " bit " << bit;
+      }
+    }
+  }
 }
 
 TEST(NetProtocol, FuzzedFramesNeverCrashTheDecoder) {
@@ -526,6 +563,72 @@ TEST(NetEndToEnd, MalformedFrameGetsTypedErrorThenClose) {
   EXPECT_GE(listener.counters().protocol_errors, 1u);
 
   client.disconnect();
+  listener.stop();
+  server.shutdown();
+}
+
+TEST(NetEndToEnd, ProtocolErrorTeardownSendsNoCancelledReplies) {
+  // A request still queued when its connection is poisoned is cancelled by
+  // the teardown. That kCancelled completion is not an answer: the peer must
+  // see only the typed diagnostic and EOF, so a reconnecting client replays
+  // the request instead of taking kCancelled as its final reply.
+  serve::ServerOptions options = small_server();
+  options.deferred_start = true;  // the request stays queued until start()
+  serve::Server server(options);
+  Listener listener(server);
+  listener.start();
+
+  std::vector<std::uint8_t> bytes = encode_request(make_wire_request(3, 7));
+  std::vector<std::uint8_t> corrupt = encode_request(make_wire_request(3, 8));
+  corrupt[kHeaderBytes] ^= 0x01;  // a body byte: kBadChecksum
+  bytes.insert(bytes.end(), corrupt.begin(), corrupt.end());
+
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0), static_cast<ssize_t>(bytes.size()));
+
+  // Only once the connection is poisoned (and request 7 cancelled while
+  // queued) does the pipeline start and complete it.
+  for (int i = 0; i < 1000 && listener.counters().protocol_errors == 0; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(listener.counters().protocol_errors, 1u);
+  server.start();
+
+  FrameDecoder decoder;
+  Frame frame;
+  std::uint8_t chunk[4096];
+  bool got_eof = false;
+  std::vector<FrameType> frames;
+  for (int i = 0; i < 200 && !got_eof; ++i) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n == 0) {
+      got_eof = true;
+      break;
+    }
+    ASSERT_GT(n, 0) << "recv failed: " << std::strerror(errno);
+    decoder.feed(chunk, static_cast<std::size_t>(n));
+    while (decoder.next(frame) == FrameDecoder::Result::kFrame) {
+      frames.push_back(frame.type);
+      if (frame.type == FrameType::kError) {
+        EXPECT_EQ(frame.error->code, ProtoCode::kBadChecksum);
+      }
+    }
+  }
+  ::close(fd);
+  EXPECT_TRUE(got_eof) << "server never closed the poisoned connection";
+  EXPECT_EQ(frames, std::vector<FrameType>{FrameType::kError})
+      << "the cancelled request must not be answered on the poisoned stream";
+  EXPECT_EQ(listener.counters().responses_dropped, 1u);
+
   listener.stop();
   server.shutdown();
 }

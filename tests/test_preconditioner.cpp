@@ -1,11 +1,10 @@
-// Tests for the preconditioned solve path: linalg/preconditioner (Jacobi,
-// identity, block-Jacobi, IC0), the SIMD-friendly PaddedCsrChunks SpMV, the
-// mixed-precision CG, and the solver-layer wiring (SystemSymbolic plans,
-// NormalPreconditioner, MatrixFreeNormalOperator, the preconditioned fallback
-// ladder). The load-bearing claims are the ISSUE's bit-identity contracts:
-//  * a refreshed JacobiPreconditioner reproduces the inline-Jacobi CG path
-//    bit for bit, and the identity preconditioner reproduces plain CG;
-//  * IC0's in-pattern refresh matches a from-scratch rebuild bitwise;
+// Tests for the preconditioned solve path: linalg/preconditioner (identity,
+// block-Jacobi), the SIMD-friendly PaddedCsrChunks SpMV, and the
+// solver-layer wiring (the SystemSymbolic block plan, the preconditioned
+// fallback ladder, the full-system solve). The load-bearing claims are
+// bit-identity contracts:
+//  * the identity preconditioner reproduces plain CG bit for bit;
+//  * the sparse-plan block-Jacobi refresh matches the dense refresh bitwise;
 //  * the padded-chunk SpMV matches CsrMatrix::multiply_rows_into bitwise on
 //    every backend;
 //  * the preconditioned ladder's rung-1 exit is bit-identical to calling
@@ -88,30 +87,6 @@ linalg::DenseMatrix densify(const CsrMatrix& a) {
 }
 
 // ------------------------------------------------------------ Jacobi seam
-
-TEST(JacobiSeam, RefreshedJacobiMatchesInlinePathBitwise) {
-  Rng rng(101);
-  const CsrMatrix a = random_sparse_spd(64, 4, rng);
-  const std::vector<Real> b = random_vector(a.rows(), rng);
-  const linalg::SerialCsrOperator op(a);
-  linalg::IterativeOptions options;
-  options.tolerance = 1e-12;
-
-  linalg::CgWorkspace ws_null;
-  const linalg::IterativeResult inline_jacobi =
-      linalg::conjugate_gradient_with(op, b, options, ws_null);
-
-  linalg::JacobiPreconditioner jacobi;
-  jacobi.refresh(a);
-  linalg::CgWorkspace ws_precond;
-  const linalg::IterativeResult seam =
-      linalg::conjugate_gradient_with(op, b, options, ws_precond, &jacobi);
-
-  EXPECT_TRUE(inline_jacobi.converged);
-  EXPECT_EQ(seam.iterations, inline_jacobi.iterations);
-  EXPECT_EQ(seam.relative_residual, inline_jacobi.relative_residual);
-  expect_bitwise_equal(seam.x, inline_jacobi.x, "Jacobi seam solution");
-}
 
 TEST(JacobiSeam, IdentityMatchesPlainCgOnUnitDiagonal) {
   // With A_ii = 1 the inline-Jacobi scaling is exactly 1.0 * r, i.e. plain
@@ -248,65 +223,6 @@ TEST(BlockJacobi, BreakdownFallsBackToDiagonal) {
   EXPECT_DOUBLE_EQ(z[3], 2.0);
 }
 
-// ------------------------------------------------------------------- IC0
-
-TEST(Ic0, InPatternRefreshMatchesFullRebuildBitwise) {
-  Rng rng(105);
-  const CsrMatrix a1 = random_sparse_spd(80, 5, rng);
-  CsrMatrix a2 = a1;
-  for (Real& v : a2.values_mut()) v *= rng.uniform(0.5, 1.5);
-  // Re-symmetrize after the random scaling (transpose shares the pattern).
-  {
-    const CsrMatrix a2t = a2.transpose();
-    auto& values = a2.values_mut();
-    for (std::size_t k = 0; k < values.size(); ++k) {
-      values[k] = 0.5 * (values[k] + a2t.values()[k]);
-    }
-  }
-
-  // Long-lived preconditioner refreshed in pattern across value changes...
-  linalg::Ic0Preconditioner refreshed(a1);
-  refreshed.refresh(a1);
-  refreshed.refresh(a2);
-  // ...must match a from-scratch factorization of the final values.
-  linalg::Ic0Preconditioner rebuilt(a2);
-  rebuilt.refresh(a2);
-
-  EXPECT_EQ(refreshed.shift(), rebuilt.shift());
-  EXPECT_EQ(refreshed.jacobi_fallback(), rebuilt.jacobi_fallback());
-  const std::vector<Real> r = random_vector(a2.rows(), rng);
-  std::vector<Real> z_refreshed;
-  std::vector<Real> z_rebuilt;
-  refreshed.apply(r, z_refreshed);
-  rebuilt.apply(r, z_rebuilt);
-  expect_bitwise_equal(z_refreshed, z_rebuilt, "IC0 refresh vs rebuild");
-}
-
-TEST(Ic0, ReducesIterationsVsJacobi) {
-  Rng rng(106);
-  // Mildly ill-conditioned: weak diagonal dominance stresses plain Jacobi.
-  const CsrMatrix a = random_sparse_spd(120, 8, rng);
-  const std::vector<Real> b = random_vector(a.rows(), rng);
-  const linalg::SerialCsrOperator op(a);
-  linalg::IterativeOptions options;
-  options.tolerance = 1e-12;
-
-  linalg::CgWorkspace ws_jacobi;
-  const linalg::IterativeResult jacobi =
-      linalg::conjugate_gradient_with(op, b, options, ws_jacobi);
-
-  linalg::Ic0Preconditioner ic0(a);
-  ic0.refresh(a);
-  EXPECT_FALSE(ic0.jacobi_fallback());
-  linalg::CgWorkspace ws_ic0;
-  const linalg::IterativeResult preconditioned =
-      linalg::conjugate_gradient_with(op, b, options, ws_ic0, &ic0);
-
-  EXPECT_TRUE(jacobi.converged);
-  EXPECT_TRUE(preconditioned.converged);
-  EXPECT_LT(preconditioned.iterations, jacobi.iterations);
-}
-
 // ------------------------------------------------------- padded-chunk SpMV
 
 TEST(PaddedCsr, MultiplyMatchesCsrBitwise) {
@@ -341,44 +257,6 @@ TEST(PaddedCsr, ChunkRefreshTracksValueChanges) {
   expect_bitwise_equal(y_padded, y_csr, "padded SpMV after chunk refresh");
 }
 
-// ------------------------------------------------------- mixed precision
-
-TEST(MixedPrecision, ConvergesWithDoubleAccuracyGate) {
-  Rng rng(109);
-  const CsrMatrix a = random_sparse_spd(96, 6, rng);
-  const std::vector<Real> b = random_vector(a.rows(), rng);
-  linalg::IterativeOptions options;
-  options.tolerance = 1e-10;
-  options.mixed_precision = true;
-
-  linalg::MixedPrecisionWorkspace ws;
-  const linalg::IterativeResult result = linalg::conjugate_gradient_mixed(a, b, options, ws);
-  ASSERT_TRUE(result.converged);
-
-  // Verify the gate's claim in double: the true residual meets the tolerance.
-  const std::vector<Real> ax = a.multiply(result.x);
-  Real rr = 0.0;
-  Real bb = 0.0;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    rr += (b[i] - ax[i]) * (b[i] - ax[i]);
-    bb += b[i] * b[i];
-  }
-  EXPECT_LE(std::sqrt(rr / bb), options.tolerance * (1.0 + 1e-12));
-}
-
-TEST(MixedPrecision, ReportsFailureWhenGateUnreachable) {
-  Rng rng(110);
-  const CsrMatrix a = random_sparse_spd(32, 4, rng);
-  const std::vector<Real> b = random_vector(a.rows(), rng);
-  linalg::IterativeOptions options;
-  options.tolerance = 1e-10;
-  options.mixed_precision = true;
-  options.max_iterations = 2;  // starve the inner budget
-  linalg::MixedPrecisionWorkspace ws;
-  const linalg::IterativeResult result = linalg::conjugate_gradient_mixed(a, b, options, ws);
-  EXPECT_FALSE(result.converged);
-}
-
 // ------------------------------------------------------- fallback ladder
 
 TEST(Ladder, PreconditionedRungOneIsBitIdenticalToDirectCg) {
@@ -409,33 +287,6 @@ TEST(Ladder, PreconditionedRungOneIsBitIdenticalToDirectCg) {
   expect_bitwise_equal(ladder, direct.x, "preconditioned ladder rung 1");
 }
 
-TEST(Ladder, MixedPrecisionMissFallsThroughToFullDouble) {
-  Rng rng(112);
-  const CsrMatrix a = random_sparse_spd(40, 4, rng);
-  const std::vector<Real> b = random_vector(a.rows(), rng);
-
-  solver::FallbackOptions options;
-  options.cg.tolerance = 1e-12;
-  options.cg.mixed_precision = true;
-  solver::SolveDiagnostics diagnostics;
-  solver::LadderWorkspace workspace;
-  const std::vector<Real> x =
-      solver::solve_with_fallback(a, b, options, diagnostics, workspace);
-
-  // Whether the pre-rung hit or missed its gate, the returned solution must
-  // satisfy the double-precision tolerance.
-  const std::vector<Real> ax = a.multiply(x);
-  Real rr = 0.0;
-  Real bb = 0.0;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    rr += (b[i] - ax[i]) * (b[i] - ax[i]);
-    bb += b[i] * b[i];
-  }
-  EXPECT_LE(std::sqrt(rr / bb),
-            options.cg.tolerance * options.tikhonov_tolerance_factor * (1.0 + 1e-12));
-  EXPECT_EQ(diagnostics.highest_rung, solver::FallbackRung::kCg);
-}
-
 // ------------------------------------------------- solver-layer wiring
 
 struct Scenario {
@@ -458,107 +309,50 @@ TEST(SymbolicPlans, AnalyzeBuildsPreconditionerPlans) {
   const Scenario s = make_scenario(4, 201);
   const equations::EquationSystem system = equations::generate_system(s.measurement);
   const auto symbolic = solver::SystemSymbolic::analyze(system);
-  ASSERT_TRUE(symbolic->has_normal);
   ASSERT_NE(symbolic->block_plan, nullptr);
-  ASSERT_NE(symbolic->ic0_pattern, nullptr);
-  EXPECT_EQ(symbolic->precond_block_ptr.front(), 0);
-  EXPECT_EQ(symbolic->precond_block_ptr.back(), symbolic->cols);
-
-  solver::AnalyzeOptions jacobian_only;
-  jacobian_only.build_normal = false;
-  const auto lean = solver::SystemSymbolic::analyze(system, jacobian_only);
-  EXPECT_FALSE(lean->has_normal);
-  EXPECT_TRUE(lean->a_row_ptr.empty());
-  EXPECT_EQ(lean->block_plan, nullptr);
-  // The jacobian-side structure must still be complete (CSC view included).
-  EXPECT_EQ(lean->jt_col_ptr.size(), static_cast<std::size_t>(lean->cols) + 1);
+  EXPECT_EQ(symbolic->block_plan->block_ptr.front(), 0);
+  EXPECT_EQ(symbolic->block_plan->block_ptr.back(), symbolic->cols);
 }
 
-TEST(MatrixFree, NormalOperatorMatchesExplicitNormalMatrix) {
-  const Scenario s = make_scenario(4, 202);
-  const equations::EquationSystem system = equations::generate_system(s.measurement);
-  solver::SystemKernels kernels(system, nullptr);
-  const std::vector<Real> x0 = solver::initial_guess(system, s.measurement);
-  kernels.refresh_jacobian(x0, nullptr);
-  kernels.refresh_normal(nullptr);
-
-  const solver::MatrixFreeNormalOperator matrix_free(kernels.jacobian(), kernels.symbolic(),
-                                                     nullptr);
-  EXPECT_EQ(matrix_free.rows(), kernels.normal().rows());
-
-  Rng rng(203);
-  const std::vector<Real> x = random_vector(matrix_free.rows(), rng);
-  std::vector<Real> y_free;
-  matrix_free.multiply_into(x, y_free);
-  const std::vector<Real> y_explicit = kernels.normal().multiply(x);
-  // Different summation orders (Jᵀ(Jx) vs (JᵀJ)x): equal to roundoff, not bits.
-  for (std::size_t i = 0; i < y_free.size(); ++i) {
-    const Real scale = std::max(std::abs(y_explicit[i]), Real{1.0});
-    EXPECT_NEAR(y_free[i], y_explicit[i], 1e-9 * scale);
-  }
-
-  std::vector<Real> d_free;
-  matrix_free.diagonal_into(d_free);
-  const std::vector<Real> d_explicit = kernels.normal().diagonal();
-  for (std::size_t i = 0; i < d_free.size(); ++i) {
-    EXPECT_NEAR(d_free[i], d_explicit[i], 1e-9 * std::max(d_explicit[i], Real{1.0}));
-  }
-}
-
-TEST(MatrixFree, BlockJacobiRefreshFromJacobianMatchesExplicit) {
-  const Scenario s = make_scenario(4, 204);
-  const equations::EquationSystem system = equations::generate_system(s.measurement);
-  solver::SystemKernels kernels(system, nullptr);
-  const std::vector<Real> x0 = solver::initial_guess(system, s.measurement);
-  kernels.refresh_jacobian(x0, nullptr);
-  kernels.refresh_normal(nullptr);
-  const solver::SystemSymbolic& symbolic = kernels.symbolic();
-
-  linalg::BlockJacobiPreconditioner from_a(symbolic.block_plan);
-  from_a.refresh(kernels.normal());
-
-  linalg::BlockJacobiPreconditioner from_j(symbolic.block_plan);
-  solver::refresh_block_jacobi_from_jacobian(kernels.jacobian(), symbolic, from_j, nullptr);
-
-  Rng rng(205);
-  const std::vector<Real> r = random_vector(symbolic.cols, rng);
-  std::vector<Real> z_a;
-  std::vector<Real> z_j;
-  from_a.apply(r, z_a);
-  from_j.apply(r, z_j);
-  // The packed entries are sums in different orders (CSR scatter vs per-row
-  // accumulation), so compare to roundoff.
-  for (std::size_t i = 0; i < z_a.size(); ++i) {
-    EXPECT_NEAR(z_j[i], z_a[i], 1e-8 * std::max(std::abs(z_a[i]), Real{1.0}));
-  }
-}
-
-TEST(FullSystemPreconditioned, EveryKindRecoversAndBlockJacobiCutsIterations) {
+TEST(FullSystemPreconditioned, BlockJacobiRecoversAndCutsIterations) {
   const Scenario s = make_scenario(5, 206);
   const equations::EquationSystem system = equations::generate_system(s.measurement);
 
-  auto solve_with_kind = [&](linalg::PreconditionerKind kind) {
-    solver::FullSystemOptions options;
-    options.max_iterations = 20;
-    options.preconditioner = kind;
-    return solver::solve_full_system(system, s.measurement, options);
-  };
+  solver::FullSystemOptions options;
+  options.max_iterations = 20;
+  const solver::FullSystemResult result =
+      solver::solve_full_system(system, s.measurement, options);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.diagnostics.highest_rung, solver::FallbackRung::kCg);
 
-  const solver::FullSystemResult jacobi = solve_with_kind(linalg::PreconditionerKind::kJacobi);
-  const solver::FullSystemResult block =
-      solve_with_kind(linalg::PreconditionerKind::kBlockJacobi);
-  const solver::FullSystemResult ic0 = solve_with_kind(linalg::PreconditionerKind::kIc0);
-  const solver::FullSystemResult identity =
-      solve_with_kind(linalg::PreconditionerKind::kIdentity);
+  // The iteration-reduction claim on the first Gauss-Newton step's normal
+  // system: block-Jacobi needs strictly fewer CG iterations than both inline
+  // Jacobi and unpreconditioned CG.
+  solver::SystemKernels kernels(system);
+  const std::vector<Real> x0 = solver::initial_guess(system, s.measurement);
+  kernels.refresh(x0);
+  std::vector<Real> residual;
+  kernels.residual_into(x0, residual);
+  std::vector<Real> rhs;
+  kernels.jacobian().multiply_transpose_into(residual, rhs);
+  for (Real& v : rhs) v = -v;
 
-  for (const auto* result : {&jacobi, &block, &ic0, &identity}) {
-    EXPECT_TRUE(result->converged);
-    EXPECT_EQ(result->diagnostics.highest_rung, solver::FallbackRung::kCg);
-  }
-  // The ISSUE's iteration-reduction claim, at test scale: the default
-  // block-Jacobi must spend strictly fewer CG iterations than inline Jacobi.
-  EXPECT_LT(block.diagnostics.cg_iterations, jacobi.diagnostics.cg_iterations);
-  EXPECT_LT(ic0.diagnostics.cg_iterations, jacobi.diagnostics.cg_iterations);
+  linalg::IterativeOptions cg;
+  cg.max_iterations = 2000;
+  cg.tolerance = 1e-12;
+  const linalg::SerialCsrOperator op(kernels.normal());
+  linalg::BlockJacobiPreconditioner block(kernels.symbolic().block_plan);
+  block.refresh(kernels.normal());
+  const linalg::IdentityPreconditioner identity;
+  linalg::CgWorkspace ws;
+  const linalg::IterativeResult with_block =
+      linalg::conjugate_gradient_with(op, rhs, cg, ws, &block);
+  const linalg::IterativeResult with_jacobi = linalg::conjugate_gradient_with(op, rhs, cg, ws);
+  const linalg::IterativeResult plain =
+      linalg::conjugate_gradient_with(op, rhs, cg, ws, &identity);
+  for (const auto* r : {&with_block, &with_jacobi, &plain}) EXPECT_TRUE(r->converged);
+  EXPECT_LT(with_block.iterations, with_jacobi.iterations);
+  EXPECT_LT(with_block.iterations, plain.iterations);
 }
 
 TEST(FullSystemPreconditioned, BlockJacobiIsBitIdenticalAcrossBackends) {
@@ -582,27 +376,6 @@ TEST(FullSystemPreconditioned, BlockJacobiIsBitIdenticalAcrossBackends) {
     expect_bitwise_equal(parallel.residual_history, serial.residual_history,
                          "preconditioned history");
   }
-}
-
-TEST(FullSystemPreconditioned, MixedPrecisionSolveStaysAccurate) {
-  const Scenario s = make_scenario(4, 208);
-  const equations::EquationSystem system = equations::generate_system(s.measurement);
-
-  solver::FullSystemOptions options;
-  options.max_iterations = 20;
-  const solver::FullSystemResult plain = solver::solve_full_system(system, s.measurement,
-                                                                   options);
-  options.mixed_precision = true;
-  const solver::FullSystemResult mixed = solver::solve_full_system(system, s.measurement,
-                                                                   options);
-  EXPECT_TRUE(plain.converged);
-  EXPECT_TRUE(mixed.converged);
-  Real worst = 0.0;
-  for (std::size_t e = 0; e < s.truth.flat().size(); ++e) {
-    worst = std::max(worst, std::abs(mixed.recovered.flat()[e] - s.truth.flat()[e]) /
-                                std::abs(s.truth.flat()[e]));
-  }
-  EXPECT_LT(worst, 1e-3);
 }
 
 }  // namespace

@@ -354,27 +354,8 @@ TEST(RobustFullSystem, RobustOffAllTrueMaskBitIdentical) {
   }
   EXPECT_EQ(via_mask.final_residual_rms, plain.final_residual_rms);
   EXPECT_FALSE(plain.robust.enabled);
-}
-
-TEST(RobustFullSystem, AdaptiveTikhonovOffByDefaultAndHarmlessWhenHealthy) {
-  const Scenario s = make_scenario(4, 931);
-  const equations::EquationSystem system = equations::generate_system(s.measurement);
-  solver::FullSystemOptions options;
-  options.max_iterations = 25;
-  const solver::FullSystemResult base = solver::solve_full_system(system, s.measurement, options);
-
-  solver::FullSystemOptions adaptive = options;
-  adaptive.adaptive_tikhonov_target = 1e4;
-  const solver::FullSystemResult guarded =
-      solver::solve_full_system(system, s.measurement, adaptive);
-
-  // A healthy system never leaves the CG rung, so the adaptive ridge (a
-  // rung-2-only effect) cannot change the numerics.
-  ASSERT_EQ(guarded.unknowns.size(), base.unknowns.size());
-  for (std::size_t u = 0; u < base.unknowns.size(); ++u) {
-    EXPECT_EQ(guarded.unknowns[u], base.unknowns[u]);
-  }
-  EXPECT_GT(guarded.robust.condition_estimate, 0.0);
+  // The per-iteration diagonal condition estimate feeds the quality report.
+  EXPECT_GT(plain.robust.condition_estimate, 0.0);
 }
 
 TEST(RobustFullSystem, MaskedSolveRecoversAndReportsMask) {
@@ -415,15 +396,6 @@ TEST(RobustFullSystem, HuberDownWeightsCorruptedEntries) {
   const Real ls_err = median_abs_rel_error(ls.recovered, s.truth);
   const Real huber_err = median_abs_rel_error(huber.recovered, s.truth);
   EXPECT_LT(huber_err, ls_err) << "robust " << huber_err << " vs plain " << ls_err;
-}
-
-TEST(RobustFullSystem, RobustLossRequiresKernelPath) {
-  const Scenario s = make_scenario(3, 934);
-  const equations::EquationSystem system = equations::generate_system(s.measurement);
-  solver::FullSystemOptions options;
-  options.use_kernels = false;
-  options.robust.loss = solver::RobustLoss::kHuber;
-  EXPECT_THROW(solver::solve_full_system(system, s.measurement, options), ContractError);
 }
 
 // ----------------------------------------------------- corruption sweep (LM)

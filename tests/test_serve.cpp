@@ -195,40 +195,6 @@ TEST(Serve, ServerOptionsValidate) {
   EXPECT_THROW(bad.validate(), core::InvalidOptions);
 }
 
-TEST(Serve, DeprecatedResilienceFieldsForwardIntoPolicy) {
-  // One release of compatibility: the loose fields still steer the server.
-  // A deprecated field changed from its default overrides the policy value;
-  // untouched fields leave the policy alone.
-  ServerOptions opts;
-  opts.policy.retry.backoff = 7ms;  // policy value with no competing override
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  opts.max_attempts = 9;
-  opts.retry_jitter_seed = 0xfeed;
-  opts.breaker_failure_threshold = 11;
-  opts.breaker_cooldown = 321ms;
-  opts.degraded_high_water = 0.25;
-  opts.degraded_sustain = 13ms;
-#pragma GCC diagnostic pop
-  const ResiliencePolicy merged = opts.resilience();
-  EXPECT_EQ(merged.retry.max_attempts, 9);
-  EXPECT_EQ(merged.retry.backoff, 7ms);   // untouched deprecated field: policy wins
-  EXPECT_EQ(merged.retry.backoff_cap, 50ms);
-  EXPECT_EQ(merged.retry.jitter_seed, 0xfeedu);
-  EXPECT_EQ(merged.breaker.failure_threshold, 11);
-  EXPECT_EQ(merged.breaker.cooldown, 321ms);
-  EXPECT_EQ(merged.shedding.high_water, 0.25);
-  EXPECT_EQ(merged.shedding.sustain, 13ms);
-
-  // An invalid value through the deprecated field still fails validation.
-  ServerOptions bad;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  bad.max_attempts = 0;
-#pragma GCC diagnostic pop
-  EXPECT_THROW(bad.validate(), core::InvalidOptions);
-}
-
 TEST(BoundedQueue, BackpressureAndBatchedPop) {
   BoundedQueue<int> queue(2);
   EXPECT_TRUE(queue.try_push(1));
