@@ -2,7 +2,9 @@
 // semantics, schedule invariants, I/O, and the distributed replay.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <type_traits>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -437,11 +439,17 @@ TEST(Engine, StrategyNamesAreStable) {
 
 // Property sweep: schedule invariants must hold for every (strategy, n, k)
 // combination, not just the hand-picked cases above.
+//
+// gtest names each case after the raw bytes of its parameter, so SweepCase
+// must have no padding: uninitialised padding bytes made the test names
+// change from one run of the binary to the next.
 struct SweepCase {
   Strategy strategy;
+  std::int32_t unused = 0;  // fills the gap before the 8-byte Index fields
   Index n;
   Index workers;
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>);
 
 class StrategySweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -475,15 +483,15 @@ TEST_P(StrategySweep, ScheduleIsWellFormed) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, StrategySweep,
-    ::testing::Values(SweepCase{Strategy::kSingleThread, 4, 1},
-                      SweepCase{Strategy::kSingleThread, 8, 1},
-                      SweepCase{Strategy::kParallel, 4, 4},
-                      SweepCase{Strategy::kParallel, 8, 32},
-                      SweepCase{Strategy::kBalancedParallel, 4, 4},
-                      SweepCase{Strategy::kBalancedParallel, 8, 16},
-                      SweepCase{Strategy::kFineGrained, 4, 2},
-                      SweepCase{Strategy::kFineGrained, 8, 8},
-                      SweepCase{Strategy::kFineGrained, 10, 32}));
+    ::testing::Values(SweepCase{.strategy = Strategy::kSingleThread, .n = 4, .workers = 1},
+                      SweepCase{.strategy = Strategy::kSingleThread, .n = 8, .workers = 1},
+                      SweepCase{.strategy = Strategy::kParallel, .n = 4, .workers = 4},
+                      SweepCase{.strategy = Strategy::kParallel, .n = 8, .workers = 32},
+                      SweepCase{.strategy = Strategy::kBalancedParallel, .n = 4, .workers = 4},
+                      SweepCase{.strategy = Strategy::kBalancedParallel, .n = 8, .workers = 16},
+                      SweepCase{.strategy = Strategy::kFineGrained, .n = 4, .workers = 2},
+                      SweepCase{.strategy = Strategy::kFineGrained, .n = 8, .workers = 8},
+                      SweepCase{.strategy = Strategy::kFineGrained, .n = 10, .workers = 32}));
 
 TEST(Engine, RejectsMalformedInput) {
   mea::Measurement bad;

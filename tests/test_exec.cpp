@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "common/require.hpp"
@@ -159,10 +161,13 @@ bool terms_identical(const equations::CurrentTerm& a, const equations::CurrentTe
   return ::testing::AssertionSuccess();
 }
 
+// No padding: gtest names each case after the raw bytes of its parameter.
 struct EquivalenceCase {
   Index n;
   core::Strategy strategy;
+  std::int32_t unused = 0;  // fills the tail up to the 8-byte alignment
 };
+static_assert(std::has_unique_object_representations_v<EquivalenceCase>);
 
 class CrossBackendEquivalence : public ::testing::TestWithParam<EquivalenceCase> {};
 
