@@ -182,8 +182,10 @@ int cmd_solve(const Args& args) {
   }
   const solver::InverseResult result = engine.recover(options);
   std::cout << "recovery: " << result.iterations << " iterations, misfit "
-            << result.final_misfit << (result.converged ? " (converged)" : " (stalled)")
-            << "\n";
+            << result.final_misfit << " ("
+            << (result.converged ? "converged"
+                                 : solver::termination_reason_name(result.termination))
+            << ")\n";
   const auto report = mea::detect_anomalies(result.recovered, threshold);
   std::cout << "anomalies above " << threshold << " kOhm ('#'):\n"
             << mea::render_mask(report.detected, engine.spec().rows, engine.spec().cols);

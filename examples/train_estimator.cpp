@@ -4,7 +4,7 @@
 //   1. generate a labelled dataset of (Z sweep, R field) pairs -- in a wet
 //      lab the labels come from Parma's parametrization of measured devices;
 //   2. train a from-scratch MLP on it;
-//   3. compare the trained estimator against Parma's exact LM recovery on a
+//   3. compare the trained estimator against Parma's exact recovery on a
 //      fresh device: the net answers in microseconds at reduced accuracy,
 //      the solver answers exactly at higher cost -- the trade the deep
 //      learning line of work ([8], [9]) is about.
@@ -74,7 +74,7 @@ int main() {
   std::cout << "fresh device head-to-head:\n"
             << "  ANN estimator: max rel. error " << ann_err << " in " << ann_seconds * 1e6
             << " us\n"
-            << "  Parma LM:      max rel. error " << lm.max_relative_error(truth) << " in "
+            << "  Parma solver:  max rel. error " << lm.max_relative_error(truth) << " in "
             << lm_seconds * 1e3 << " ms\n\n"
             << "the estimator trades accuracy for a ~1000x faster answer; Parma is\n"
                "what makes producing its training labels tractable at scale.\n";

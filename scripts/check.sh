@@ -5,6 +5,11 @@
 #   scripts/check.sh --no-tsan  # skip the ThreadSanitizer pass
 #   scripts/check.sh --no-asan  # skip the ASan+UBSan pass
 #
+# Flake gate: right after the tier-1 ctest, the concurrency and chaos suites
+# (ctest labels `tsan` and `chaos`) rerun on the tier-1 build with
+# `--repeat until-fail:20`, so a test that fails once in twenty runs fails
+# the check.
+#
 # Sanitizer passes:
 #   - TSan (-DPARMA_SANITIZE=thread) over the concurrency-sensitive suites
 #     (ctest label `tsan`: test_kernels, test_preconditioner, test_exec, test_serve, test_net,
@@ -16,7 +21,9 @@
 #     multi-process cluster storm (`chaos-cluster` label: kill -9 a sharded
 #     worker mid-storm, assert failover keeps replies bit-identical), each
 #     under three distinct PARMA_CHAOS_SEED values.
-#   - ASan+UBSan (-DPARMA_SANITIZE=address,undefined) over the same suites.
+#   - ASan+UBSan (-DPARMA_SANITIZE=address,undefined) over the same suites,
+#     plus the solver suite (ctest label `solver`: test_solver), whose
+#     matrix-free Newton operator is index-heavy dense code.
 #
 # After the tier-1 ctest, smoke-runs the repo benchmark: perfbench/run.py
 # for both workloads (recover, serve_tcp), untraced and traced, 2 s each;
@@ -74,6 +81,9 @@ cmake --build build -j "${jobs}"
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j "${jobs}")
 
+echo "== flake gate: ctest -L 'tsan|chaos' --repeat until-fail:20 =="
+(cd build && ctest -L "tsan|chaos" --output-on-failure -j "${jobs}" --repeat until-fail:20)
+
 echo "== perfbench: smoke runs (recover, serve_tcp; untraced and traced; 2 s each) =="
 for workload in recover serve_tcp; do
   for trace in 0 1; do
@@ -114,11 +124,13 @@ if [[ "${run_tsan}" == "1" ]]; then
 fi
 
 if [[ "${run_asan}" == "1" ]]; then
-  echo "== asan+ubsan: configure + build (labels: tsan, chaos) =="
+  echo "== asan+ubsan: configure + build (labels: tsan, chaos, solver) =="
   cmake -B build-asan -S . -DPARMA_SANITIZE=address,undefined >/dev/null
-  cmake --build build-asan -j "${jobs}" --target test_kernels test_preconditioner test_exec test_serve test_net test_chaos_net test_cluster cluster_failover test_async test_fault test_robust
+  cmake --build build-asan -j "${jobs}" --target test_kernels test_preconditioner test_exec test_serve test_net test_chaos_net test_cluster cluster_failover test_async test_fault test_robust test_solver
   echo "== asan+ubsan: ctest -L tsan =="
   (cd build-asan && ctest -L tsan --output-on-failure -j "${jobs}")
+  echo "== asan+ubsan: ctest -L solver =="
+  (cd build-asan && ctest -L solver --output-on-failure -j "${jobs}")
   echo "== asan+ubsan: ctest -L chaos (3 seeds) =="
   (cd build-asan && ctest -L chaos --output-on-failure -j "${jobs}")
   echo "== asan+ubsan: ctest -L chaos-net (3 seeds) =="

@@ -46,6 +46,12 @@ class EffectiveResistance {
 
   [[nodiscard]] Index num_nodes() const { return num_nodes_; }
 
+  /// The factorization's product: the inverse of the Laplacian with node 0's
+  /// row and column removed, (N-1) x (N-1); entry (a-1, b-1) belongs to nodes
+  /// a and b. Its Gram identity above gives every R_eff, and it is the G of
+  /// the recovery's Jacobian products (solver/log_conductance.hpp).
+  [[nodiscard]] const DenseMatrix& grounded_inverse() const { return reduced_inverse_; }
+
  private:
   [[nodiscard]] Real m_entry(Index a, Index b) const;
 

@@ -35,7 +35,9 @@ const char* priority_name(Priority priority);
 
 /// Which solver runs the solve stage.
 enum class SolveMethod {
-  kLevenbergMarquardt,  ///< per-pair elimination LM (the fast production path)
+  kLevenbergMarquardt,  ///< solver::recover_resistances, the fast production
+                        ///< path: Newton-CG on unmasked, unweighted data, LM
+                        ///< on masked or robust ones (name kept for the wire)
   kFullSystem,          ///< Gauss-Newton + CG on the full joint-constraint
                         ///< system (paper IV-A); exercises the fallback ladder
 };

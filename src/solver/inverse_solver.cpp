@@ -4,13 +4,17 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "common/require.hpp"
 #include "equations/pair_system.hpp"
 #include "linalg/dense_solve.hpp"
+#include "linalg/iterative.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
+#include "solver/log_conductance.hpp"
 
 namespace parma::solver {
 namespace {
@@ -55,6 +59,170 @@ ForwardSweep forward_sweep(const circuit::ResistanceGrid& grid, Real volts,
     for (Index p = 0; p < pairs; ++p) solve_one(p);
   }
   return sweep;
+}
+
+// Misfit of the starting grid, through `forward` (both solvers' forward
+// models). A forward model that fails there, or a non-finite misfit, means a
+// corrupt measurement: a NumericalError, before any iteration.
+template <typename Forward>
+Real initial_misfit(Forward&& forward) {
+  Real misfit = std::numeric_limits<Real>::quiet_NaN();
+  try {
+    misfit = forward();
+  } catch (const ContractError& e) {
+    throw NumericalError(std::string("inverse solve: forward model failed on the "
+                                     "initial guess (corrupt measurement?): ") +
+                         e.what());
+  }
+  if (!std::isfinite(misfit)) {
+    throw NumericalError("inverse solve: non-finite initial misfit (corrupt measurement?)");
+  }
+  return misfit;
+}
+
+Real max_abs(const std::vector<Real>& v) {
+  Real largest = 0.0;
+  for (const Real x : v) largest = std::max(largest, std::fabs(x));
+  return largest;
+}
+
+// Newton-CG on u = ln c for unmasked, unweighted data (inverse_solver.hpp).
+// Each pass factors the grounded Laplacian once and solves
+// A delta = D_c (Z(c) - Z_meas) by Jacobi-preconditioned CG on the
+// matrix-free operator. A Newton step within the step bound is backtracked
+// on the misfit; a longer or rejected one gives way to Levenberg-Marquardt
+// steps on the same operator. Serial, so the result does not depend on
+// InverseOptions::workers.
+InverseResult recover_newton_cg(const mea::Measurement& measurement,
+                                const InverseOptions& options,
+                                circuit::ResistanceGrid seed) {
+  // No log-conductance moves by more than this in one step.
+  constexpr Real kMaxLogStep = 2.0;
+  const std::size_t pairs = seed.flat().size();
+  InverseResult result;
+  result.recovered = std::move(seed);
+
+  std::optional<LogConductanceOperator> op;
+  Real misfit = initial_misfit([&] {
+    op.emplace(result.recovered);
+    return impedance_misfit(op->z(), measurement);
+  });
+  result.misfit_history.push_back(misfit);
+
+  linalg::CgWorkspace workspace;
+  std::vector<Real> rhs(pairs);
+  std::vector<Real> diag;
+  std::vector<Real> step(pairs);
+  Real lambda = options.initial_lambda;
+  bool any_step = false;              // this pass tried a nonzero step
+  bool any_finite_candidate = false;  // ... and one had a finite misfit
+
+  const auto solve = [&](const auto& system, const std::vector<Real>& b) {
+    linalg::IterativeOptions cg_options;
+    cg_options.max_iterations = static_cast<Index>(pairs);
+    // Inexact Newton: the forcing term tightens with the misfit.
+    cg_options.tolerance = 1e-2 * std::min(Real{0.1}, misfit);
+    linalg::IterativeResult cg = linalg::conjugate_gradient_with(system, b, cg_options, workspace);
+    ++result.diagnostics.linear_solves;
+    result.diagnostics.cg_iterations += cg.iterations;
+    result.diagnostics.highest_rung = FallbackRung::kCg;
+    return cg.x;
+  };
+
+  // Tries u + t delta for t = 1, 1/2, ..., 1/2^halvings and keeps the first
+  // that lowers the misfit. A trial whose factorization breaks down is a
+  // rejected step, exactly like a NaN misfit; it never ends the solve by
+  // itself.
+  const auto try_step = [&](const std::vector<Real>& delta, int halvings) {
+    if (max_abs(delta) == 0.0) return false;
+    any_step = true;
+    Real scale = 1.0;
+    for (int halving = 0; halving <= halvings; ++halving, scale *= 0.5) {
+      circuit::ResistanceGrid candidate = result.recovered;
+      for (std::size_t e = 0; e < pairs; ++e) candidate.flat()[e] *= std::exp(-scale * delta[e]);
+      std::optional<LogConductanceOperator> trial;
+      Real trial_misfit = std::numeric_limits<Real>::quiet_NaN();
+      try {
+        trial.emplace(candidate);
+        trial_misfit = impedance_misfit(trial->z(), measurement);
+      } catch (const ContractError&) {
+      } catch (const NumericalError&) {
+      }
+      if (!std::isfinite(trial_misfit)) continue;
+      any_finite_candidate = true;
+      if (trial_misfit < misfit) {
+        result.recovered = std::move(candidate);
+        op = std::move(trial);
+        misfit = trial_misfit;
+        return true;
+      }
+    }
+    return false;
+  };
+
+  for (Index iter = 0; iter < options.max_iterations; ++iter) {
+    result.iterations = iter + 1;
+    if (misfit <= options.tolerance) {
+      result.converged = true;
+      break;
+    }
+
+    const std::vector<Real>& c = op->conductance();
+    bool rhs_finite = true;
+    for (std::size_t e = 0; e < pairs; ++e) {
+      rhs[e] = c[e] * (op->z().data()[e] - measurement.z.data()[e]);
+      rhs_finite = rhs_finite && std::isfinite(rhs[e]);
+    }
+    if (!rhs_finite) {
+      result.termination = TerminationReason::kNumericalBreakdown;
+      break;
+    }
+    op->diagonal_into(diag);
+    result.robust.condition_estimate =
+        std::max(result.robust.condition_estimate, diagonal_condition_estimate(diag));
+
+    any_step = false;
+    any_finite_candidate = false;
+    // The Newton step is a descent direction of the misfit, so within the
+    // bound it is backtracked.
+    const std::vector<Real> newton = solve(*op, rhs);
+    bool accepted = max_abs(newton) <= kMaxLogStep && try_step(newton, 8);
+    if (!accepted) {
+      // A longer Newton step extrapolates the linearization too far: the data
+      // may be unrealizable (no positive field reproduces it), and then some
+      // c_e runs off towards 0 or infinity. Levenberg-Marquardt takes over
+      // on the same operator, as LM does on the dense path: each entry
+      // clamped to the bound, lambda growing on a rejected step. A large
+      // lambda turns the step into the Marquardt-scaled gradient, whose
+      // entries keep their signs under the clamp, so it still descends; a
+      // scaled-down whole step would instead let the run-off entry freeze
+      // every other one.
+      for (std::size_t e = 0; e < pairs; ++e) rhs[e] /= c[e] * c[e];
+      std::vector<Real> gradient;  // -J^T (Z - Z_meas)
+      op->multiply_into(rhs, gradient);
+      for (int attempt = 0; attempt < 8 && !accepted; ++attempt) {
+        step = solve(DampedNormalOperator(*op, lambda), gradient);
+        for (Real& d : step) d = std::clamp(d, -kMaxLogStep, kMaxLogStep);
+        accepted = try_step(step, 0);
+        lambda = accepted ? std::max(lambda * options.lambda_shrink, Real{1e-12})
+                          : lambda * options.lambda_grow;
+      }
+    }
+    result.misfit_history.push_back(misfit);
+    if (!accepted) {
+      // A zero step (CG made no progress) leaves nothing to try.
+      result.termination = any_finite_candidate || !any_step
+                               ? TerminationReason::kStalled
+                               : TerminationReason::kNumericalBreakdown;
+      break;
+    }
+  }
+
+  result.final_misfit = misfit;
+  result.converged = result.converged || misfit <= options.tolerance;
+  result.diagnostics.converged = result.converged;
+  if (result.converged) result.termination = TerminationReason::kToleranceReached;
+  return result;
 }
 
 }  // namespace
@@ -184,27 +352,34 @@ InverseResult recover_resistances(const mea::Measurement& measurement,
   }
 
   PARMA_REQUIRE(options.workers >= 1, "need at least one worker");
+  const Index masked = mea::masked_entry_count(measurement);
+  const bool robust_on = options.robust.loss != RobustLoss::kNone;
+  if (masked == 0 && !robust_on) {
+    // Foster's theorem: the leverages c_e Z_e of the m n edges sum to
+    // m + n - 1, so R ~ Z m n / (m + n - 1) on average. An explicit guess is
+    // used as given.
+    if (!options.initial_grid.has_value() && options.initial_resistance <= 0.0) {
+      const Real foster = static_cast<Real>(pairs) / static_cast<Real>(rows + cols - 1);
+      for (Real& v : result.recovered.flat()) v *= foster;
+    }
+    return recover_newton_cg(measurement, options, std::move(result.recovered));
+  }
+
   std::unique_ptr<parallel::ThreadPool> pool;
   if (options.workers > 1) pool = std::make_unique<parallel::ThreadPool>(options.workers);
 
-  const Index masked = mea::masked_entry_count(measurement);
-  const bool robust_on = options.robust.loss != RobustLoss::kNone;
   const Real tuning = effective_tuning(options.robust);
-  // Weighted path: masked entries carry weight 0, IRLS multiplies on top.
-  // When neither applies, the loop below runs the exact pre-robust arithmetic.
-  const bool weighted = robust_on || masked > 0;
+  // LM always runs weighted: masked entries carry weight 0, IRLS multiplies
+  // on top.
   result.robust.enabled = robust_on;
   result.robust.masked_entries = masked;
 
   // Flat {0, 1} mask weights (row-major pair index p = i * cols + j).
-  std::vector<Real> mask_weight;
-  if (weighted) {
-    mask_weight.assign(static_cast<std::size_t>(pairs), Real{1.0});
-    for (Index i = 0; i < rows; ++i) {
-      for (Index j = 0; j < cols; ++j) {
-        if (!mea::entry_valid(measurement, i, j)) {
-          mask_weight[static_cast<std::size_t>(i * cols + j)] = 0.0;
-        }
+  std::vector<Real> mask_weight(static_cast<std::size_t>(pairs), Real{1.0});
+  for (Index i = 0; i < rows; ++i) {
+    for (Index j = 0; j < cols; ++j) {
+      if (!mea::entry_valid(measurement, i, j)) {
+        mask_weight[static_cast<std::size_t>(i * cols + j)] = 0.0;
       }
     }
   }
@@ -216,9 +391,7 @@ InverseResult recover_resistances(const mea::Measurement& measurement,
     for (Index i = 0; i < rows; ++i) {
       for (Index j = 0; j < cols; ++j) {
         const std::size_t p = static_cast<std::size_t>(i * cols + j);
-        out[p] = (!weighted || mask_weight[p] > 0.0)
-                     ? z_model(i, j) - measurement.z(i, j)
-                     : Real{0.0};
+        out[p] = mask_weight[p] > 0.0 ? z_model(i, j) - measurement.z(i, j) : Real{0.0};
       }
     }
   };
@@ -227,7 +400,7 @@ InverseResult recover_resistances(const mea::Measurement& measurement,
   const auto collect_valid = [&](const std::vector<Real>& residual, std::vector<Real>& out) {
     out.clear();
     for (std::size_t p = 0; p < residual.size(); ++p) {
-      if (masked == 0 || mask_weight[p] > 0.0) out.push_back(residual[p]);
+      if (mask_weight[p] > 0.0) out.push_back(residual[p]);
     }
   };
 
@@ -240,18 +413,10 @@ InverseResult recover_resistances(const mea::Measurement& measurement,
 
   Real lambda = options.initial_lambda;
   ForwardSweep sweep;
-  Real misfit = std::numeric_limits<Real>::quiet_NaN();
-  try {
+  Real misfit = initial_misfit([&] {
     sweep = forward_sweep(result.recovered, volts, pool.get());
-    misfit = impedance_misfit(sweep.z_model, measurement);
-  } catch (const ContractError& e) {
-    throw NumericalError(std::string("inverse solve: forward model failed on the "
-                                     "initial guess (corrupt measurement?): ") +
-                         e.what());
-  }
-  if (!std::isfinite(misfit)) {
-    throw NumericalError("inverse solve: non-finite initial misfit (corrupt measurement?)");
-  }
+    return impedance_misfit(sweep.z_model, measurement);
+  });
   result.misfit_history.push_back(misfit);
 
   std::vector<Real> residual;
@@ -281,41 +446,33 @@ InverseResult recover_resistances(const mea::Measurement& measurement,
     }
 
     // Residual r_p = Z_model - Z_measured, normal equations in log-space:
-    // (J^T W J + lambda diag) delta = -J^T (w o r), with W = I on the plain
-    // least-squares path.
+    // (J^T W J + lambda diag) delta = -J^T (w o r).
     residual_of(sweep.z_model, residual);
     const linalg::DenseMatrix jt = sweep.jacobian.transpose();
-    linalg::DenseMatrix jtj{1, 1};
-    std::vector<Real> rhs;
     Real cost = 0.0;
-    if (weighted) {
-      if (robust_on) {
-        collect_valid(residual, valid_scratch);
-        sigma = floored_scale(valid_scratch);
-        result.robust.final_scale = sigma;
-        result.robust.rows_downweighted =
-            robust_weights(residual, sigma, options.robust.loss, tuning, irls_weights);
-        cost = robust_cost(valid_scratch, sigma, options.robust.loss, tuning);
-        weights.resize(static_cast<std::size_t>(pairs));
-        for (std::size_t p = 0; p < weights.size(); ++p) {
-          weights[p] = mask_weight[p] * irls_weights[p];
-        }
-      } else {
-        weights = mask_weight;
+    if (robust_on) {
+      collect_valid(residual, valid_scratch);
+      sigma = floored_scale(valid_scratch);
+      result.robust.final_scale = sigma;
+      result.robust.rows_downweighted =
+          robust_weights(residual, sigma, options.robust.loss, tuning, irls_weights);
+      cost = robust_cost(valid_scratch, sigma, options.robust.loss, tuning);
+      weights.resize(static_cast<std::size_t>(pairs));
+      for (std::size_t p = 0; p < weights.size(); ++p) {
+        weights[p] = mask_weight[p] * irls_weights[p];
       }
-      linalg::DenseMatrix wj = sweep.jacobian;
-      for (Index p = 0; p < pairs; ++p) {
-        const Real w = weights[static_cast<std::size_t>(p)];
-        for (Index e = 0; e < pairs; ++e) wj(p, e) *= w;
-      }
-      jtj = jt.multiply(wj);
-      std::vector<Real> wr(static_cast<std::size_t>(pairs));
-      for (std::size_t p = 0; p < wr.size(); ++p) wr[p] = weights[p] * residual[p];
-      rhs = jt.multiply(wr);
     } else {
-      jtj = jt.multiply(sweep.jacobian);
-      rhs = jt.multiply(residual);
+      weights = mask_weight;
     }
+    linalg::DenseMatrix wj = sweep.jacobian;
+    for (Index p = 0; p < pairs; ++p) {
+      const Real w = weights[static_cast<std::size_t>(p)];
+      for (Index e = 0; e < pairs; ++e) wj(p, e) *= w;
+    }
+    linalg::DenseMatrix jtj = jt.multiply(wj);
+    std::vector<Real> wr(static_cast<std::size_t>(pairs));
+    for (std::size_t p = 0; p < wr.size(); ++p) wr[p] = weights[p] * residual[p];
+    std::vector<Real> rhs = jt.multiply(wr);
     for (Real& v : rhs) v = -v;
     if (prior_on) {
       // (J^T W J + mu^2 I) delta = -(J^T W r + mu^2 l), l = log(R / R_init).
@@ -435,8 +592,7 @@ InverseResult recover_resistances(const mea::Measurement& measurement,
     result.robust.downweighted_entries.clear();
     for (Index p = 0; p < pairs; ++p) {
       const std::size_t sp = static_cast<std::size_t>(p);
-      const bool valid = masked == 0 || mask_weight[sp] > 0.0;
-      if (valid && irls_weights[sp] < 0.5) {
+      if (mask_weight[sp] > 0.0 && irls_weights[sp] < 0.5) {
         result.robust.downweighted_entries.push_back(p);
       }
     }

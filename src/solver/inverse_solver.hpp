@@ -1,12 +1,29 @@
 // The MEA inverse problem: recover the resistance grid R from the measured
 // pairwise impedances Z (paper Section II-C).
 //
-// Parametrization is in log-space (theta = ln R), which enforces R > 0 --
-// the paper notes "resistance cannot be non-positive values" -- and evens out
-// the 2,000-11,000 kOhm dynamic range. Levenberg-Marquardt iterations use
-// the exact adjoint gradient dZ/dR = (i_branch / I)^2 from
-// equations/pair_system.hpp, so one forward sweep yields the full dense
-// Jacobian row per pair.
+// Both solvers work in log-space, which enforces R > 0 -- the paper notes
+// "resistance cannot be non-positive values" -- and evens out the
+// 2,000-11,000 kOhm dynamic range. recover_resistances picks one from the
+// input:
+//
+//   - Unmasked, unweighted data (no masked entry, RobustLoss::kNone) runs
+//     Newton-CG on u = ln c, c = 1/R. Each Z is a two-point effective
+//     resistance of the weighted K_{m,n}, so one factorization of the
+//     grounded Laplacian gives every Z(c) and a matrix-free Jacobian product
+//     in O((m+n) m n) (solver/log_conductance.hpp). Each Newton step solves
+//     the square SPD system A delta = D_c (Z(c) - Z_meas) by Jacobi PCG,
+//     stopped at relative residual 1e-2 min(0.1, misfit). A step that moves
+//     no log-conductance by more than 2 is halved up to 8 times until the
+//     misfit drops. A longer or rejected one gives way to LM steps on the
+//     same matrix-free operator (J^T J = A D_c^-2 A, solved by CG), each
+//     entry clamped to +-2 and the damping grown until one lowers the misfit,
+//     so data no positive field reproduces still gets a least-squares fit.
+//     The default seed is Z scaled by Foster's factor m n / (m + n - 1).
+//   - Masked or IRLS-weighted data runs Levenberg-Marquardt on theta = ln R,
+//     seeded at Z, with the exact adjoint gradient dZ/dR = (i_branch / I)^2
+//     from equations/pair_system.hpp: one forward sweep of per-pair solves
+//     yields the dense n^2 x n^2 Jacobian, and each damped normal system is
+//     one dense solve.
 #pragma once
 
 #include <optional>
@@ -22,14 +39,19 @@ namespace parma::solver {
 struct InverseOptions {
   Index max_iterations = 50;
   Real tolerance = 1e-8;          ///< stop when relative RMS misfit falls below
-  Real initial_lambda = 1e-3;     ///< LM damping start
-  Real lambda_shrink = 0.3;       ///< on accepted step
-  Real lambda_grow = 4.0;         ///< on rejected step
-  Real initial_resistance = 0.0;  ///< starting guess; 0 means "use Z(i,j)"
+  /// LM damping: start, factor on an accepted step, factor on a rejected
+  /// one. Newton-CG uses them for the damped steps it falls back to.
+  Real initial_lambda = 1e-3;
+  Real lambda_shrink = 0.3;
+  Real lambda_grow = 4.0;
+  /// Uniform starting guess. 0 means "use Z(i, j)", scaled by Foster's
+  /// factor m n / (m + n - 1) on the Newton-CG path.
+  Real initial_resistance = 0.0;
 
-  /// Worker threads for the forward sweeps (per-pair nodal solves are the
-  /// independent units the topology exposes; they dominate each iteration).
-  /// 1 = serial. Results are bit-identical for any worker count.
+  /// Worker threads for LM's forward sweeps (per-pair nodal solves are the
+  /// independent units the topology exposes; they dominate each LM
+  /// iteration). 1 = serial. Newton-CG runs serially and ignores it. Results
+  /// are bit-identical for any worker count.
   Index workers = 1;
 
   /// Warm start: a full starting grid (e.g. the previous epoch's recovery in
@@ -37,8 +59,9 @@ struct InverseOptions {
   /// `initial_resistance`; must match the device shape and be positive.
   std::optional<circuit::ResistanceGrid> initial_grid;
 
-  /// IRLS robust loss over the per-pair impedance residuals (robust.hpp).
-  /// kNone keeps the iteration bit-identical to the pre-robust LM. Masked
+  /// IRLS robust loss over the per-pair impedance residuals (robust.hpp);
+  /// any loss but kNone runs LM. With kNone a masked solve runs the
+  /// pre-robust LM bit for bit, and an unmasked one runs Newton-CG. Masked
   /// measurement entries are excluded from the fit either way.
   RobustOptions robust;
 
@@ -61,14 +84,18 @@ struct InverseResult {
   bool converged = false;
   Real final_misfit = 0.0;              ///< relative RMS of Z_model vs Z_measured
   std::vector<Real> misfit_history;     ///< one entry per accepted iteration
-  /// Linear-solve counts: every damped normal-equation solve is one direct
-  /// dense solve (linear_solves); no CG rung runs on this path.
+  /// Linear-solve counts. Newton-CG: linear_solves counts its CG solves (one
+  /// per Newton step, plus one per damped step it falls back to),
+  /// cg_iterations all their CG iterations, highest_rung is kCg. LM: every
+  /// damped normal-equation solve is one direct dense solve (linear_solves)
+  /// and no CG runs.
   SolveDiagnostics diagnostics;
-  /// Why the LM loop stopped; a non-finite misfit on every damped attempt
-  /// reports kNumericalBreakdown instead of looking like a stall.
+  /// Why the loop stopped; a non-finite misfit on every trial step reports
+  /// kNumericalBreakdown instead of looking like a stall.
   TerminationReason termination = TerminationReason::kMaxIterations;
   /// Robust-estimation diagnostics (final scale, flagged outlier entries,
-  /// condition estimate, masked-entry count).
+  /// condition estimate, masked-entry count). Newton-CG's condition estimate
+  /// is the worst diagonal_condition_estimate of c^2 Z^2 it met.
   RobustReport robust;
 
   /// Max relative error against a known ground truth (test/diagnostic).
@@ -82,8 +109,11 @@ Real impedance_misfit(const linalg::DenseMatrix& z_model, const linalg::DenseMat
 /// denominator. Identical to the matrix overload for a complete sweep.
 Real impedance_misfit(const linalg::DenseMatrix& z_model, const mea::Measurement& measurement);
 
-/// Runs log-space Levenberg-Marquardt; throws NumericalError if the normal
-/// equations become singular (should not happen for positive damping).
+/// Recovers R by Newton-CG (unmasked, unweighted data) or LM (masked or
+/// IRLS), as the header comment describes. Throws ContractError on bad
+/// options or a non-positive (or NaN) starting guess, and NumericalError when
+/// the initial misfit is not finite; a breakdown after that ends the solve
+/// with a typed termination instead.
 InverseResult recover_resistances(const mea::Measurement& measurement,
                                   const InverseOptions& options = {});
 

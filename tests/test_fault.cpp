@@ -32,6 +32,7 @@
 #include "serve/server.hpp"
 #include "solver/fallback.hpp"
 #include "solver/full_system_solver.hpp"
+#include "solver/inverse_solver.hpp"
 
 namespace parma {
 namespace {
@@ -258,6 +259,27 @@ TEST(FullSystemSolver, RecoversThroughDenseRungWhenCgIsForcedToFail) {
           << "cell (" << i << ", " << j << ")";
     }
   }
+}
+
+// The default recovery (Newton-CG on unmasked data) runs its Newton and
+// damped steps through CG, so the fault point reaches it too. A CG that makes
+// no progress leaves a zero step, and so does each of the eight damped
+// retries after it: the solve ends typed instead of throwing.
+TEST(InverseSolver, ForcedCgFailureEndsTypedWithoutThrowing) {
+  const mea::Measurement measurement = make_measurement(6, 22);
+  fault::ScopedInjector chaos(12);
+  chaos->arm(fault::Point::kCgNonConvergence, {.probability = 1.0});
+
+  solver::InverseResult result;
+  ASSERT_NO_THROW(result = solver::recover_resistances(measurement));
+  EXPECT_FALSE(result.converged);
+  EXPECT_FALSE(result.diagnostics.converged);
+  EXPECT_EQ(result.termination, solver::TerminationReason::kStalled);
+  EXPECT_EQ(result.diagnostics.linear_solves, 9);
+  EXPECT_EQ(result.diagnostics.cg_iterations, 0);
+  EXPECT_GT(chaos->fires(fault::Point::kCgNonConvergence), 0u);
+  ASSERT_EQ(result.misfit_history.size(), 2u);
+  EXPECT_EQ(result.misfit_history[1], result.misfit_history[0]);
 }
 
 // ------------------------------------------------------------ serve: retry
