@@ -1,9 +1,9 @@
 // Fault-machinery overhead bench: what the compiled-in (but disabled)
 // robustness stack costs the serve hot path.
 //
-// Claim under test: the fault-injection points, the retry/breaker/degraded
-// orchestration, and the fallback-ladder plumbing cost < 2% serve throughput
-// when no faults are armed. Three modes over identical bursts:
+// Claim under test: the fault-injection points and the retry/breaker/degraded
+// orchestration cost < 2% serve throughput when no faults are armed. Three
+// modes over identical bursts:
 //
 //   bare        resilience orchestration neutralized (max_attempts = 1,
 //               breaker and degraded mode disabled), no injector installed --

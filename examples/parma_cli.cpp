@@ -284,12 +284,11 @@ int cmd_serve_bench(const Args& args) {
   add_stage("end_to_end", stats.end_to_end);
   table.write_pretty(std::cout);
 
-  // Resilience counters: all zero on a healthy run; retries/fallback rungs/
-  // breaker events say where the serving layer absorbed trouble.
+  // Resilience counters: all zero on a healthy run; retries/breaker events
+  // say where the serving layer absorbed trouble.
   std::cout << "resilience: retries " << stats.retries << " (successful "
             << stats.retry_successes << "), solver not-converged "
-            << stats.solver_not_converged << ", fallback rungs tikhonov "
-            << stats.fallback_tikhonov << " dense " << stats.fallback_dense
+            << stats.solver_not_converged
             << ", breaker opened " << stats.breaker_opened_events
             << " (open shapes " << stats.breaker_open_shapes
             << "), load-shed " << stats.rejected_load_shed

@@ -12,8 +12,8 @@
 #
 # Sanitizer passes:
 #   - TSan (-DPARMA_SANITIZE=thread) over the concurrency-sensitive suites
-#     (ctest label `tsan`: test_kernels, test_preconditioner, test_exec, test_serve, test_net,
-#     test_chaos_net, test_cluster, test_async, test_fault, test_robust)
+#     (ctest label `tsan`: test_exec, test_serve, test_net, test_chaos_net,
+#     test_cluster, test_async, test_fault, test_robust)
 #     plus the chaos storms (`chaos` label: test_fault's all-points fault
 #     storm, test_robust's corruption-recovery suite, and test_async's
 #     cancellation storm), the wire-level chaos suite (`chaos-net` label:
@@ -30,22 +30,20 @@
 # any non-zero exit (a perfbench build break against src/, a failed warm-up
 # request, a wrong answer) fails the check.
 #
-# Also runs the solver hot-path bench in --quick mode, which fails (non-zero
-# exit) unless the kernel refresh holds its 2x-at-n>=16 speedup over the
-# CooBuilder assembly path and the block-Jacobi preconditioner cuts CG
-# iterations >= 2x vs unpreconditioned CG on the first Gauss-Newton step at
-# n>=16; the robust-accuracy bench in --quick mode,
-# which fails unless the robust+masked pipeline stays within 2x of the
-# fault-free error at 10% corruption (and plain least squares is measurably
-# worse), and the net-throughput bench in --quick mode, which fails unless
-# loopback TCP serving stays within 2x of in-process req/s, and the
-# net-chaos bench in --quick mode, which fails unless the reconnecting
-# client holds >= 90% goodput at a 5% connection-kill rate, and the
-# cluster-failover bench in --quick mode, which fails unless the sharded
-# cluster holds >= 90% goodput while two workers are SIGKILLed and
-# supervised back to life; refreshes bench_results/solver_hotpath.json,
+# Also runs, each in --quick mode (non-zero exit fails the check): the
+# robust-accuracy bench, which fails unless the robust+masked pipeline stays
+# within 2x of the fault-free error at 10% corruption (and plain least
+# squares is measurably worse); the net-throughput bench, which fails unless
+# loopback TCP serving stays within 2x of in-process req/s; the net-chaos
+# bench, which fails unless the reconnecting client holds >= 90% goodput at
+# a 5% connection-kill rate; and the cluster-failover bench, which fails
+# unless the sharded cluster holds >= 90% goodput while two workers are
+# SIGKILLed and supervised back to life. They refresh
 # bench_results/robust_accuracy.json, bench_results/net_throughput.json,
 # bench_results/net_chaos.json, and bench_results/cluster_failover.json.
+#
+# The tier-1 ctest includes perfbench's statistics unit test
+# (test_perfbench_stats, compiled from perfbench/tests/test_stats.cpp).
 #
 # Build trees: ./build (tier-1), ./build-tsan, ./build-asan.
 set -euo pipefail
@@ -64,8 +62,8 @@ header_tu="$(mktemp --suffix=.cpp)"
 trap 'rm -f "${header_tu}"' EXIT
 header_fail=0
 for header in src/async/*.hpp src/net/*.hpp src/cluster/*.hpp src/serve/status.hpp \
-              src/serve/resilience.hpp src/linalg/preconditioner.hpp \
-              src/linalg/aligned.hpp src/linalg/iterative.hpp; do
+              src/serve/resilience.hpp src/serve/request.hpp src/linalg/iterative.hpp \
+              src/solver/inverse_solver.hpp src/solver/log_conductance.hpp; do
   printf '#include "%s"\n' "${header#src/}" > "${header_tu}"
   if ! c++ -std=c++20 -Wall -Wextra -fsyntax-only -Isrc "${header_tu}"; then
     echo "not self-contained: ${header}"
@@ -92,9 +90,6 @@ for workload in recover serve_tcp; do
   done
 done
 
-echo "== bench: solver_hotpath --quick (2x refresh, 2x first-step CG-iteration gates) =="
-./build/bench/solver_hotpath --quick
-
 echo "== bench: robust_accuracy --quick (2x dirty-input accuracy gate) =="
 ./build/bench/robust_accuracy --quick
 
@@ -110,7 +105,7 @@ echo "== bench: cluster_failover --quick (90% goodput through worker kills + res
 if [[ "${run_tsan}" == "1" ]]; then
   echo "== tsan: configure + build (labels: tsan, chaos) =="
   cmake -B build-tsan -S . -DPARMA_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${jobs}" --target test_kernels test_preconditioner test_exec test_serve test_net test_chaos_net test_cluster cluster_failover test_async test_fault test_robust
+  cmake --build build-tsan -j "${jobs}" --target test_exec test_serve test_net test_chaos_net test_cluster cluster_failover test_async test_fault test_robust
   echo "== tsan: ctest -L tsan =="
   (cd build-tsan && ctest -L tsan --output-on-failure -j "${jobs}")
   echo "== tsan: ctest -L chaos (3 seeds) =="
@@ -126,7 +121,7 @@ fi
 if [[ "${run_asan}" == "1" ]]; then
   echo "== asan+ubsan: configure + build (labels: tsan, chaos, solver) =="
   cmake -B build-asan -S . -DPARMA_SANITIZE=address,undefined >/dev/null
-  cmake --build build-asan -j "${jobs}" --target test_kernels test_preconditioner test_exec test_serve test_net test_chaos_net test_cluster cluster_failover test_async test_fault test_robust test_solver
+  cmake --build build-asan -j "${jobs}" --target test_exec test_serve test_net test_chaos_net test_cluster cluster_failover test_async test_fault test_robust test_solver
   echo "== asan+ubsan: ctest -L tsan =="
   (cd build-asan && ctest -L tsan --output-on-failure -j "${jobs}")
   echo "== asan+ubsan: ctest -L solver =="

@@ -159,7 +159,6 @@ FormationResult Engine::form_equations_real(const StrategyOptions& options,
                                             exec::Executor* external) const {
   FormationResult result = empty_formation(spec());
   result.timing_mode = TimingMode::kRealThreads;
-  result.system.mask_signature = mea::mask_signature(measurement_);
   result.effective_workers = effective_workers(options);
 
   const TaskGranularity granularity = (options.strategy == Strategy::kFineGrained)
@@ -256,7 +255,6 @@ FormationResult Engine::form_equations_real(const StrategyOptions& options,
 FormationResult Engine::form_equations_virtual(const StrategyOptions& options) const {
   FormationResult result = empty_formation(spec());
   result.timing_mode = TimingMode::kVirtualReplay;
-  result.system.mask_signature = mea::mask_signature(measurement_);
   result.effective_workers = effective_workers(options);
   if (options.keep_system) {
     result.system.equations.reserve(

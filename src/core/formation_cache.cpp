@@ -36,27 +36,6 @@ std::shared_ptr<const equations::UnknownLayout> FormationCache::layout(
   return layout;
 }
 
-std::shared_ptr<const solver::SystemSymbolic> FormationCache::system_symbolic(
-    const equations::EquationSystem& system) {
-  const ShapeKey key{system.layout.rows(), system.layout.cols(), false,
-                     system.mask_signature};
-  {
-    std::lock_guard lock(mu_);
-    const auto it = symbolics_.find(key);
-    if (it != symbolics_.end()) {
-      ++stats_.symbolic_hits;
-      return it->second;
-    }
-    ++stats_.symbolic_misses;
-  }
-  // Analyze outside the lock, like topology(): concurrent misses on one key
-  // do the analysis redundantly but insert interchangeable structures.
-  auto symbolic = solver::SystemSymbolic::analyze(system);
-  std::lock_guard lock(mu_);
-  const auto [it, inserted] = symbolics_.emplace(key, symbolic);
-  return inserted ? symbolic : it->second;
-}
-
 FormationCache::Stats FormationCache::stats() const {
   std::lock_guard lock(mu_);
   return stats_;
@@ -64,14 +43,13 @@ FormationCache::Stats FormationCache::stats() const {
 
 std::size_t FormationCache::size() const {
   std::lock_guard lock(mu_);
-  return topology_.size() + layouts_.size() + symbolics_.size();
+  return topology_.size() + layouts_.size();
 }
 
 void FormationCache::clear() {
   std::lock_guard lock(mu_);
   topology_.clear();
   layouts_.clear();
-  symbolics_.clear();
   stats_ = {};
 }
 

@@ -16,7 +16,6 @@
 #include "core/engine.hpp"
 #include "equations/layout.hpp"
 #include "mea/device.hpp"
-#include "solver/system_kernels.hpp"
 
 namespace parma::core {
 
@@ -27,8 +26,6 @@ class FormationCache {
     std::uint64_t topology_misses = 0;
     std::uint64_t layout_hits = 0;
     std::uint64_t layout_misses = 0;
-    std::uint64_t symbolic_hits = 0;
-    std::uint64_t symbolic_misses = 0;
   };
 
   /// Topology report for the engine's device, computed at most once per
@@ -38,16 +35,6 @@ class FormationCache {
   /// Shared unknown layout for the device shape, constructed at most once.
   [[nodiscard]] std::shared_ptr<const equations::UnknownLayout> layout(
       const mea::DeviceSpec& spec);
-
-  /// Shared symbolic analysis of the joint-constraint system (the one-time
-  /// pattern / scatter-map side of the solver's symbolic/numeric split),
-  /// computed at most once per (device shape, measurement-mask signature).
-  /// `system` supplies the term structure on a miss; the sparsity pattern
-  /// depends only on the shape and on which pairs were dropped by the mask
-  /// (EquationSystem::mask_signature, 0 for a complete sweep), never on
-  /// measured values, so the result is reused across recordings.
-  [[nodiscard]] std::shared_ptr<const solver::SystemSymbolic> system_symbolic(
-      const equations::EquationSystem& system);
 
   [[nodiscard]] Stats stats() const;
 
@@ -65,20 +52,17 @@ class FormationCache {
   struct ShapeKey {
     Index rows = 0;
     Index cols = 0;
-    bool exact = false;        // only meaningful for topology entries
-    std::uint64_t mask = 0;    // mask signature; only meaningful for symbolics
+    bool exact = false;  // only meaningful for topology entries
     bool operator<(const ShapeKey& other) const {
       if (rows != other.rows) return rows < other.rows;
       if (cols != other.cols) return cols < other.cols;
-      if (exact != other.exact) return exact < other.exact;
-      return mask < other.mask;
+      return exact < other.exact;
     }
   };
 
   mutable std::mutex mu_;
   std::map<ShapeKey, TopologyReport> topology_;
   std::map<ShapeKey, std::shared_ptr<const equations::UnknownLayout>> layouts_;
-  std::map<ShapeKey, std::shared_ptr<const solver::SystemSymbolic>> symbolics_;
   Stats stats_;
 };
 

@@ -112,7 +112,6 @@ Index expected_equation_count(const mea::Measurement& measurement) {
 EquationSystem generate_system(const mea::Measurement& measurement) {
   measurement.spec.validate();
   EquationSystem system{UnknownLayout(measurement.spec), {}};
-  system.mask_signature = mea::mask_signature(measurement);
   system.equations.reserve(static_cast<std::size_t>(expected_equation_count(measurement)));
   for (Index i = 0; i < measurement.spec.rows; ++i) {
     for (Index j = 0; j < measurement.spec.cols; ++j) {

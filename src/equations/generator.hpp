@@ -20,12 +20,6 @@ namespace parma::equations {
 struct EquationSystem {
   UnknownLayout layout;
   std::vector<JointEquation> equations;
-  /// Signature of the measurement mask the system was generated under
-  /// (mea::mask_signature): 0 for a complete sweep. Part of the structural
-  /// identity of the system -- masked pairs drop their two terminal
-  /// equations, so the sparsity pattern (and any cached symbolic analysis)
-  /// is keyed on (shape, mask_signature).
-  std::uint64_t mask_signature = 0;
 
   /// Number of equations per constraint category.
   [[nodiscard]] std::vector<Index> category_census() const;

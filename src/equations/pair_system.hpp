@@ -7,8 +7,8 @@
 //  * the model impedance Z_model(i, j) = U / I_source,
 //  * every branch current, and
 //  * via the classical adjoint identity dR_eff/dR_e = (i_e / I)^2, the exact
-//    gradient of Z_model with respect to every resistance -- the workhorse of
-//    the Gauss-Newton inverse solver.
+//    gradient of Z_model with respect to every resistance -- the Jacobian of
+//    the Levenberg-Marquardt inverse solver.
 //
 // This is also the executable proof that the joint-constraint formulation is
 // lossless: tests assert Z_model == the Laplacian effective resistance to

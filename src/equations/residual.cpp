@@ -3,6 +3,29 @@
 #include "common/require.hpp"
 
 namespace parma::equations {
+namespace {
+
+/// The three partial derivatives of one term at x.
+struct TermPartials {
+  Real d_plus = 0.0;      ///< d/dx_p  =  sign / x_r       (valid if plus_unknown >= 0)
+  Real d_minus = 0.0;     ///< d/dx_q  = -sign / x_r       (valid if minus_unknown >= 0)
+  Real d_resistor = 0.0;  ///< d/dx_r  = -sign (c + x_p - x_q) / x_r^2
+};
+
+TermPartials term_partials(const CurrentTerm& term, const std::vector<Real>& x) {
+  const Real r = x[static_cast<std::size_t>(term.resistor_unknown)];
+  PARMA_REQUIRE(r != 0.0, "zero resistance in Jacobian");
+  Real numerator = term.constant;
+  if (term.plus_unknown >= 0) numerator += x[static_cast<std::size_t>(term.plus_unknown)];
+  if (term.minus_unknown >= 0) numerator -= x[static_cast<std::size_t>(term.minus_unknown)];
+  TermPartials p;
+  p.d_plus = term.sign / r;
+  p.d_minus = -term.sign / r;
+  p.d_resistor = -term.sign * numerator / (r * r);
+  return p;
+}
+
+}  // namespace
 
 Real term_value(const CurrentTerm& term, const std::vector<Real>& x) {
   PARMA_ASSERT(term.resistor_unknown >= 0 &&
@@ -30,8 +53,7 @@ std::vector<Real> system_residual(const EquationSystem& system, const std::vecto
   return r;
 }
 
-linalg::CsrMatrix system_jacobian(const EquationSystem& system, const std::vector<Real>& x,
-                                  linalg::ZeroPolicy policy) {
+linalg::CsrMatrix system_jacobian(const EquationSystem& system, const std::vector<Real>& x) {
   PARMA_REQUIRE(static_cast<Index>(x.size()) == system.layout.num_unknowns(),
                 "unknown vector size mismatch");
   linalg::CooBuilder builder(static_cast<Index>(system.equations.size()),
@@ -45,7 +67,7 @@ linalg::CsrMatrix system_jacobian(const EquationSystem& system, const std::vecto
       builder.add(row_idx, term.resistor_unknown, p.d_resistor);
     }
   }
-  return builder.build(policy);
+  return builder.build();
 }
 
 std::vector<Real> pack_unknowns(const UnknownLayout& layout,

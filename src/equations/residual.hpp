@@ -22,38 +22,12 @@ Real term_value(const CurrentTerm& term, const std::vector<Real>& x);
 /// residual_e(x) = sum of terms - rhs, for one equation.
 Real equation_residual(const JointEquation& eq, const std::vector<Real>& x);
 
-/// The three partial derivatives of one term at x. Shared (inline, single
-/// definition) by system_jacobian and the scatter-map refresh in
-/// solver/system_kernels.cpp so both paths run the exact same arithmetic --
-/// the precondition for their bit-identity.
-struct TermPartials {
-  Real d_plus = 0.0;      ///< d/dx_p  =  sign / x_r       (valid if plus_unknown >= 0)
-  Real d_minus = 0.0;     ///< d/dx_q  = -sign / x_r       (valid if minus_unknown >= 0)
-  Real d_resistor = 0.0;  ///< d/dx_r  = -sign (c + x_p - x_q) / x_r^2
-};
-
-inline TermPartials term_partials(const CurrentTerm& term, const std::vector<Real>& x) {
-  const Real r = x[static_cast<std::size_t>(term.resistor_unknown)];
-  PARMA_REQUIRE(r != 0.0, "zero resistance in Jacobian");
-  Real numerator = term.constant;
-  if (term.plus_unknown >= 0) numerator += x[static_cast<std::size_t>(term.plus_unknown)];
-  if (term.minus_unknown >= 0) numerator -= x[static_cast<std::size_t>(term.minus_unknown)];
-  TermPartials p;
-  p.d_plus = term.sign / r;
-  p.d_minus = -term.sign / r;
-  p.d_resistor = -term.sign * numerator / (r * r);
-  return p;
-}
-
 /// Full residual vector, equation order preserved.
 std::vector<Real> system_residual(const EquationSystem& system, const std::vector<Real>& x);
 
-/// Sparse Jacobian at x (rows = equations, cols = unknowns). The default
-/// ZeroPolicy::kDrop reproduces the historical pattern (entries whose value
-/// is exactly zero vanish -- value-dependent!); kKeep makes the pattern the
-/// structural one, a pure function of the equation terms.
-linalg::CsrMatrix system_jacobian(const EquationSystem& system, const std::vector<Real>& x,
-                                  linalg::ZeroPolicy policy = linalg::ZeroPolicy::kDrop);
+/// Sparse Jacobian at x (rows = equations, cols = unknowns). Entries whose
+/// value is exactly zero are dropped, so the pattern depends on x.
+linalg::CsrMatrix system_jacobian(const EquationSystem& system, const std::vector<Real>& x);
 
 /// Builds the unknown vector from a known resistance grid and exact pair
 /// voltages (test helper: a consistent x should zero the residual).

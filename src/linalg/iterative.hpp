@@ -10,8 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/require.hpp"
 #include "fault/injector.hpp"
-#include "linalg/preconditioner.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/vector_ops.hpp"
 
@@ -62,17 +62,11 @@ struct CgWorkspace {
 ///   void diagonal_into(std::vector<Real>& d) const;
 ///   Real dot(const std::vector<Real>&, const std::vector<Real>&,
 ///            std::vector<Real>& partials) const;
-/// Operators whose multiply_into/dot produce the same bits (SerialCsrOperator
-/// below, or the executor-backed operator in solver/system_kernels.hpp, whose
-/// ordered reductions match the serial ones) give bit-identical solves.
-///
-/// `precond` is the preconditioner seam: null runs inline Jacobi (z = r /
-/// diag(A), a zero diagonal preconditions with 1); non-null routes z = M⁻¹ r
-/// through Preconditioner::apply instead.
+/// Preconditioned by inline Jacobi: z = r / diag(A), where a zero diagonal
+/// entry preconditions with 1.
 template <typename Op>
 IterativeResult conjugate_gradient_with(const Op& op, const std::vector<Real>& b,
                                         const IterativeOptions& options, CgWorkspace& ws,
-                                        const Preconditioner* precond,
                                         std::vector<Real> x0 = {}) {
   PARMA_REQUIRE(static_cast<Index>(b.size()) == op.rows(), "CG rhs size mismatch");
   const std::size_t n = b.size();
@@ -98,16 +92,10 @@ IterativeResult conjugate_gradient_with(const Op& op, const std::vector<Real>& b
     return result;
   }
 
-  if (precond == nullptr) {
-    op.diagonal_into(ws.inv_diag);
-    for (Real& d : ws.inv_diag) d = (d != 0.0) ? 1.0 / d : 1.0;
-  }
+  op.diagonal_into(ws.inv_diag);
+  for (Real& d : ws.inv_diag) d = (d != 0.0) ? 1.0 / d : 1.0;
   const auto apply_precond = [&] {
-    if (precond == nullptr) {
-      for (std::size_t i = 0; i < n; ++i) ws.z[i] = ws.inv_diag[i] * ws.r[i];
-    } else {
-      precond->apply(ws.r, ws.z);
-    }
+    for (std::size_t i = 0; i < n; ++i) ws.z[i] = ws.inv_diag[i] * ws.r[i];
   };
 
   op.multiply_into(result.x, ws.ap);
@@ -143,14 +131,6 @@ IterativeResult conjugate_gradient_with(const Op& op, const std::vector<Real>& b
   result.relative_residual = std::sqrt(op.dot(ws.r, ws.r, ws.partials)) / norm_b;
   result.converged = result.relative_residual <= options.tolerance;
   return result;
-}
-
-/// Inline-Jacobi overload (no preconditioner object).
-template <typename Op>
-IterativeResult conjugate_gradient_with(const Op& op, const std::vector<Real>& b,
-                                        const IterativeOptions& options,
-                                        CgWorkspace& ws, std::vector<Real> x0 = {}) {
-  return conjugate_gradient_with(op, b, options, ws, nullptr, std::move(x0));
 }
 
 /// Serial CsrMatrix adapter for conjugate_gradient_with.

@@ -19,13 +19,12 @@ void CooBuilder::add(Index row, Index col, Real value) {
   values_.push_back(value);
 }
 
-CsrMatrix CooBuilder::build(ZeroPolicy policy) const {
+CsrMatrix CooBuilder::build() const {
   const std::size_t nnz_in = values_.size();
   std::vector<std::size_t> order(nnz_in);
   std::iota(order.begin(), order.end(), std::size_t{0});
   // Stable: duplicates at one coordinate sum in insertion order, which pins
-  // the floating-point result and lets the scatter-map refresh in
-  // solver/system_kernels reproduce it bit for bit.
+  // the floating-point result.
   std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
     if (rows_idx_[a] != rows_idx_[b]) return rows_idx_[a] < rows_idx_[b];
     return cols_idx_[a] < cols_idx_[b];
@@ -45,7 +44,7 @@ CsrMatrix CooBuilder::build(ZeroPolicy policy) const {
       sum += values_[order[k]];
       ++k;
     }
-    if (sum != 0.0 || policy == ZeroPolicy::kKeep) {
+    if (sum != 0.0) {
       col_idx.push_back(c);
       values.push_back(sum);
       ++row_ptr[static_cast<std::size_t>(r) + 1];
@@ -107,22 +106,6 @@ void CsrMatrix::multiply_rows_into(const std::vector<Real>& x, std::vector<Real>
   }
 }
 
-void CsrMatrix::multiply_transpose_into(const std::vector<Real>& x,
-                                        std::vector<Real>& y) const {
-  PARMA_REQUIRE(static_cast<Index>(x.size()) == rows_,
-                "multiply_transpose_into: size mismatch");
-  y.assign(static_cast<std::size_t>(cols_), 0.0);
-  for (Index r = 0; r < rows_; ++r) {
-    const Real xr = x[static_cast<std::size_t>(r)];
-    if (xr == 0.0) continue;
-    for (Index k = row_ptr_[static_cast<std::size_t>(r)];
-         k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
-      y[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(k)])] +=
-          values_[static_cast<std::size_t>(k)] * xr;
-    }
-  }
-}
-
 std::vector<Real> CsrMatrix::multiply_transpose(const std::vector<Real>& x) const {
   PARMA_REQUIRE(static_cast<Index>(x.size()) == rows_, "multiply_transpose: size mismatch");
   std::vector<Real> y(static_cast<std::size_t>(cols_), 0.0);
@@ -147,13 +130,6 @@ Real CsrMatrix::at(Index row, Index col) const {
   return values_[static_cast<std::size_t>(it - col_idx_.begin())];
 }
 
-std::vector<Real> CsrMatrix::diagonal() const {
-  PARMA_REQUIRE(rows_ == cols_, "diagonal: matrix must be square");
-  std::vector<Real> d(static_cast<std::size_t>(rows_), 0.0);
-  for (Index r = 0; r < rows_; ++r) d[static_cast<std::size_t>(r)] = at(r, r);
-  return d;
-}
-
 CsrMatrix CsrMatrix::transpose() const {
   CooBuilder builder(cols_, rows_);
   for (Index r = 0; r < rows_; ++r) {
@@ -164,82 +140,6 @@ CsrMatrix CsrMatrix::transpose() const {
     }
   }
   return builder.build();
-}
-
-PaddedCsrChunks::PaddedCsrChunks(const CsrMatrix& a, Index rows_per_chunk)
-    : rows_(a.rows()), cols_(a.cols()), rows_per_chunk_(std::max<Index>(1, rows_per_chunk)) {
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-  row_begin_.resize(static_cast<std::size_t>(rows_));
-  row_end_.resize(static_cast<std::size_t>(rows_));
-  // Pass 1: padded offsets. Rows inside a chunk pack back to back; each chunk
-  // start rounds up to the next cache line.
-  std::size_t offset = 0;
-  for (Index lo = 0; lo < rows_; lo += rows_per_chunk_) {
-    offset = align_up_elements<Real>(offset);
-    const Index hi = std::min(rows_, lo + rows_per_chunk_);
-    for (Index r = lo; r < hi; ++r) {
-      const Index nnz = row_ptr[static_cast<std::size_t>(r) + 1] -
-                        row_ptr[static_cast<std::size_t>(r)];
-      row_begin_[static_cast<std::size_t>(r)] = static_cast<Index>(offset);
-      offset += static_cast<std::size_t>(nnz);
-      row_end_[static_cast<std::size_t>(r)] = static_cast<Index>(offset);
-    }
-  }
-  // Pass 2: copy the pattern (zero-filled padding gaps are never read, but
-  // keep them deterministic) and the current values.
-  col_idx_.assign(offset, 0);
-  values_.assign(offset, 0.0);
-  for (Index r = 0; r < rows_; ++r) {
-    const Index src = row_ptr[static_cast<std::size_t>(r)];
-    const Index dst = row_begin_[static_cast<std::size_t>(r)];
-    const Index nnz = row_end_[static_cast<std::size_t>(r)] - dst;
-    std::copy_n(col_idx.begin() + src, nnz, col_idx_.begin() + dst);
-  }
-  refresh_values(a);
-}
-
-Index PaddedCsrChunks::chunk_count() const {
-  return rows_ == 0 ? 0 : (rows_ + rows_per_chunk_ - 1) / rows_per_chunk_;
-}
-
-void PaddedCsrChunks::refresh_values(const CsrMatrix& a) {
-  const Index chunks = chunk_count();
-  for (Index c = 0; c < chunks; ++c) refresh_chunk_values(a, c);
-}
-
-void PaddedCsrChunks::refresh_chunk_values(const CsrMatrix& a, Index chunk) {
-  PARMA_REQUIRE(a.rows() == rows_, "refresh_chunk_values: pattern mismatch");
-  const Index lo = chunk * rows_per_chunk_;
-  const Index hi = std::min(rows_, lo + rows_per_chunk_);
-  if (lo >= hi) return;
-  // A chunk's entries are contiguous in both layouts and in the same order:
-  // one straight copy.
-  const auto& row_ptr = a.row_ptr();
-  const Index src = row_ptr[static_cast<std::size_t>(lo)];
-  const Index count = row_ptr[static_cast<std::size_t>(hi)] - src;
-  std::copy_n(a.values().begin() + src, count,
-              values_.begin() + row_begin_[static_cast<std::size_t>(lo)]);
-}
-
-void PaddedCsrChunks::multiply_rows_into(const std::vector<Real>& x, std::vector<Real>& y,
-                                         Index lo, Index hi) const {
-  PARMA_REQUIRE(static_cast<Index>(x.size()) == cols_, "multiply_rows_into: size mismatch");
-  PARMA_REQUIRE(static_cast<Index>(y.size()) == rows_ && lo >= 0 && hi <= rows_,
-                "multiply_rows_into: bad output or row range");
-  // Identical per-row accumulation order to CsrMatrix::multiply_rows_into;
-  // restrict-qualified slab pointers let the inner loop vectorize.
-  const Real* __restrict values = values_.data();
-  const Index* __restrict cols = col_idx_.data();
-  const Real* __restrict xv = x.data();
-  for (Index r = lo; r < hi; ++r) {
-    Real sum = 0.0;
-    const Index end = row_end_[static_cast<std::size_t>(r)];
-    for (Index k = row_begin_[static_cast<std::size_t>(r)]; k < end; ++k) {
-      sum += values[k] * xv[cols[k]];
-    }
-    y[static_cast<std::size_t>(r)] = sum;
-  }
 }
 
 }  // namespace parma::linalg

@@ -8,18 +8,10 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "linalg/aligned.hpp"
 
 namespace parma::linalg {
 
 class CsrMatrix;
-
-/// What CooBuilder::build does with coordinates whose accumulated value is
-/// exactly zero. kDrop (the historical default) removes them, which makes the
-/// sparsity pattern value-dependent; kKeep retains them as explicit zeros so
-/// the pattern is a pure function of the coordinates added -- required by any
-/// consumer that reuses the symbolic structure across numeric refreshes.
-enum class ZeroPolicy { kDrop, kKeep };
 
 /// Coordinate-format staging area: push (row, col, value) triplets in any
 /// order, then freeze into CSR.
@@ -35,8 +27,8 @@ class CooBuilder {
   [[nodiscard]] std::size_t num_triplets() const { return rows_idx_.size(); }
 
   /// Sorts (stably: duplicates sum in insertion order) and merges duplicates
-  /// into CSR. `policy` decides whether exact-zero sums keep their slot.
-  [[nodiscard]] CsrMatrix build(ZeroPolicy policy = ZeroPolicy::kDrop) const;
+  /// into CSR, dropping coordinates whose sum is exactly zero.
+  [[nodiscard]] CsrMatrix build() const;
 
  private:
   Index rows_;
@@ -60,11 +52,6 @@ class CsrMatrix {
   [[nodiscard]] const std::vector<Index>& col_idx() const { return col_idx_; }
   [[nodiscard]] const std::vector<Real>& values() const { return values_; }
 
-  /// Mutable numeric values for in-place refresh of a fixed pattern (the
-  /// symbolic/numeric split in solver/system_kernels.hpp). The pattern
-  /// (row_ptr/col_idx) stays immutable.
-  [[nodiscard]] std::vector<Real>& values_mut() { return values_; }
-
   /// y = A x.
   [[nodiscard]] std::vector<Real> multiply(const std::vector<Real>& x) const;
 
@@ -78,15 +65,8 @@ class CsrMatrix {
   void multiply_rows_into(const std::vector<Real>& x, std::vector<Real>& y,
                           Index lo, Index hi) const;
 
-  /// y = A^T x into a preallocated y (serial: transpose products scatter
-  /// across columns, so this is not row-partitionable).
-  void multiply_transpose_into(const std::vector<Real>& x, std::vector<Real>& y) const;
-
   /// Entry lookup (binary search within the row); zero if absent.
   [[nodiscard]] Real at(Index row, Index col) const;
-
-  /// Main diagonal as a vector (zero where absent); requires square.
-  [[nodiscard]] std::vector<Real> diagonal() const;
 
   [[nodiscard]] CsrMatrix transpose() const;
 
@@ -96,56 +76,6 @@ class CsrMatrix {
   std::vector<Index> row_ptr_;
   std::vector<Index> col_idx_;
   std::vector<Real> values_;
-};
-
-/// SIMD-friendly shadow of a CsrMatrix: the same pattern and values, with the
-/// entries of each fixed row chunk stored contiguously and every chunk's
-/// first entry placed on a 64-byte boundary. Each SpMV chunk then streams one
-/// dense, aligned slab of (value, column) pairs -- no chunk shares a cache
-/// line with another, which is what lets the compiler vectorize the inner
-/// accumulation and lets parallel chunks avoid false sharing.
-///
-/// The row-major entry ORDER inside a row is exactly the CsrMatrix's, so
-/// multiply_rows_into performs the identical additions in the identical
-/// sequence: results are bit-identical to CsrMatrix::multiply_rows_into
-/// (asserted in tests), and the chunk boundaries remain the pure function of
-/// the row count that the determinism contract requires.
-///
-/// Split the same way as the system kernels: the pattern (offsets, padded
-/// column slabs) is built once from the symbolic structure; refresh_values
-/// re-copies the numeric values in place, chunk by chunk (parallelizable --
-/// chunks are disjoint).
-class PaddedCsrChunks {
- public:
-  PaddedCsrChunks() = default;
-  /// Build the padded layout from `a`'s pattern and copy its current values.
-  PaddedCsrChunks(const CsrMatrix& a, Index rows_per_chunk);
-
-  [[nodiscard]] Index rows() const { return rows_; }
-  [[nodiscard]] Index cols() const { return cols_; }
-  [[nodiscard]] Index rows_per_chunk() const { return rows_per_chunk_; }
-  [[nodiscard]] Index chunk_count() const;
-
-  /// In-pattern value refresh (whole matrix, serial).
-  void refresh_values(const CsrMatrix& a);
-  /// Refresh one chunk's values: a straight contiguous copy (rows of a chunk
-  /// are consecutive in the source CSR too). Chunks are disjoint, so callers
-  /// may refresh them from parallel workers.
-  void refresh_chunk_values(const CsrMatrix& a, Index chunk);
-
-  /// y[lo, hi) = (A x)[lo, hi): the CsrMatrix::multiply_rows_into arithmetic
-  /// on the padded slabs.
-  void multiply_rows_into(const std::vector<Real>& x, std::vector<Real>& y,
-                          Index lo, Index hi) const;
-
- private:
-  Index rows_ = 0;
-  Index cols_ = 0;
-  Index rows_per_chunk_ = 1;
-  std::vector<Index> row_begin_;  ///< per-row first padded slot (size rows)
-  std::vector<Index> row_end_;    ///< per-row one-past-last padded slot
-  AlignedVector<Index> col_idx_;
-  AlignedVector<Real> values_;
 };
 
 }  // namespace parma::linalg

@@ -30,10 +30,10 @@ inline constexpr std::size_t kDotChunk = std::size_t{1} << 14;
                                      const std::vector<Real>& b, std::size_t c);
 
 /// Ordered chunked dot product: per-chunk partials over the fixed boundaries
-/// above, summed in chunk order. The bits are the same whether the partials
-/// were computed serially (this function) or in parallel and then reduced in
-/// order (ParallelCsrOperator in solver/system_kernels.hpp). `partials` is
-/// caller-provided scratch so the hot path allocates nothing.
+/// above, summed in chunk order, so the bits are the same whether the
+/// partials are computed serially (this function) or in parallel and then
+/// reduced in order. `partials` is caller-provided scratch so the hot path
+/// allocates nothing.
 [[nodiscard]] Real ordered_dot(const std::vector<Real>& a, const std::vector<Real>& b,
                                std::vector<Real>& partials);
 

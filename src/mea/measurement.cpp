@@ -16,32 +16,8 @@ Index MeasurementMask::masked_count() const {
   return count;
 }
 
-std::uint64_t MeasurementMask::signature() const {
-  if (all_valid()) return 0;
-  // FNV-1a over the shape and the bit vector.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(rows));
-  mix(static_cast<std::uint64_t>(cols));
-  for (const std::uint8_t b : bits) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  // 0 is reserved for "unmasked / all valid".
-  return h == 0 ? 1 : h;
-}
-
 Index masked_entry_count(const Measurement& m) {
   return m.mask ? m.mask->masked_count() : 0;
-}
-
-std::uint64_t mask_signature(const Measurement& m) {
-  return m.mask ? m.mask->signature() : 0;
 }
 
 Index mask_invalid_entries(Measurement& m) {

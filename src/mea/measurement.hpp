@@ -58,12 +58,6 @@ struct MeasurementMask {
 
   [[nodiscard]] Index masked_count() const;
   [[nodiscard]] bool all_valid() const { return masked_count() == 0; }
-
-  /// 64-bit FNV-1a over (rows, cols, bits), forced non-zero -- EXCEPT that an
-  /// all-valid mask returns exactly 0, the same signature as "no mask at
-  /// all". That makes an all-true mask share symbolic-cache entries (and the
-  /// formation structure) with the unmasked path.
-  [[nodiscard]] std::uint64_t signature() const;
 };
 
 /// One measurement session: everything Parma's inverse problem consumes.
@@ -85,10 +79,6 @@ struct Measurement {
 
 /// Number of masked-out entries (0 when unmasked).
 [[nodiscard]] Index masked_entry_count(const Measurement& m);
-
-/// The mask's signature, 0 when unmasked or all-valid (see
-/// MeasurementMask::signature).
-[[nodiscard]] std::uint64_t mask_signature(const Measurement& m);
 
 /// Auto-masking for dirty sweeps: every non-finite or non-positive Z entry
 /// gets its mask bit cleared (materializing the mask if needed). Returns the

@@ -1,6 +1,8 @@
 #include "net/protocol.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 namespace parma::net {
@@ -118,6 +120,13 @@ constexpr std::uint8_t kKnownRequestFlags =
 // Response-body flag bits.
 constexpr std::uint8_t kFlagHasField = 0x01;
 
+/// `v` clamped into the unsigned wire field `Field`.
+template <typename Field>
+Field saturate(std::int64_t v) {
+  return static_cast<Field>(
+      std::clamp<std::int64_t>(v, 0, std::numeric_limits<Field>::max()));
+}
+
 void put_header(std::vector<std::uint8_t>& out, FrameType type,
                 std::uint64_t request_id, std::uint32_t body_len) {
   PARMA_ASSERT(out.empty());
@@ -208,12 +217,7 @@ serve::ParametrizeRequest WireRequest::to_request() const {
   // The response never carries the equation system back, so serving always
   // streams it (bounded resident memory per request).
   r.options.keep_system = false;
-  if (max_iterations > 0) {
-    r.inverse.max_iterations = static_cast<Index>(max_iterations);
-    r.full_system.max_iterations = static_cast<Index>(max_iterations);
-  }
-  r.solve_method = solve_method == 1 ? serve::SolveMethod::kFullSystem
-                                     : serve::SolveMethod::kLevenbergMarquardt;
+  if (max_iterations > 0) r.inverse.max_iterations = static_cast<Index>(max_iterations);
   r.priority = static_cast<serve::Priority>(priority);
   r.auto_mask_invalid = auto_mask_invalid;
   if (deadline_ms > 0) r.timeout = std::chrono::milliseconds(deadline_ms);
@@ -226,18 +230,14 @@ WireRequest WireRequest::from_request(const serve::ParametrizeRequest& request,
   WireRequest w;
   w.request_id = request_id;
   w.priority = static_cast<std::uint8_t>(request.priority);
-  w.solve_method = request.solve_method == serve::SolveMethod::kFullSystem ? 1 : 0;
   w.strategy = static_cast<std::uint8_t>(request.options.strategy);
   w.auto_mask_invalid = request.auto_mask_invalid;
   if (request.timeout) {
-    w.deadline_ms = static_cast<std::uint32_t>(request.timeout->count());
+    w.deadline_ms = std::max<std::uint32_t>(1, saturate<std::uint32_t>(request.timeout->count()));
   }
-  w.form_workers = static_cast<std::uint16_t>(request.options.workers);
-  w.form_chunk = static_cast<std::uint16_t>(request.options.chunk);
-  w.max_iterations = static_cast<std::uint16_t>(
-      request.solve_method == serve::SolveMethod::kFullSystem
-          ? request.full_system.max_iterations
-          : request.inverse.max_iterations);
+  w.form_workers = saturate<std::uint16_t>(request.options.workers);
+  w.form_chunk = saturate<std::uint16_t>(request.options.chunk);
+  w.max_iterations = saturate<std::uint16_t>(request.inverse.max_iterations);
   w.rows = static_cast<std::uint32_t>(request.measurement.spec.rows);
   w.cols = static_cast<std::uint32_t>(request.measurement.spec.cols);
   w.drive_voltage = request.measurement.spec.drive_voltage;
@@ -288,10 +288,9 @@ std::vector<std::uint8_t> encode_request(const WireRequest& request) {
   std::vector<std::uint8_t> out;
   const std::size_t cells =
       static_cast<std::size_t>(request.rows) * static_cast<std::size_t>(request.cols);
-  out.reserve(kHeaderBytes + 40 + cells * 16 + request.mask.size());
+  out.reserve(kHeaderBytes + 39 + cells * 16 + request.mask.size());
   put_header(out, FrameType::kRequest, request.request_id, 0);
   out.push_back(request.priority);
-  out.push_back(request.solve_method);
   out.push_back(request.strategy);
   std::uint8_t flags = 0;
   if (!request.mask.empty()) flags |= kFlagHasMask;
@@ -367,11 +366,11 @@ std::vector<std::uint8_t> encode_pong(std::uint64_t request_id) {
 
 namespace {
 
-/// The stats body is the merge substrate only: 33 u64 counters/gauges, one
+/// The stats body is the merge substrate only: 29 u64 counters/gauges, one
 /// degraded byte, then 42 u64s (40 buckets + total/max nanos) per stage.
 /// Derived summaries are recomputed on decode. Order is load-bearing --
 /// encode and decode walk the same list.
-constexpr std::size_t kStatsCounters = 33;
+constexpr std::size_t kStatsCounters = 29;
 constexpr std::size_t kStatsStages = 5;
 constexpr std::size_t kStatsBodyBytes =
     kStatsCounters * 8 + 1 + kStatsStages * (serve::StageStats::kBuckets + 2) * 8;
@@ -423,14 +422,10 @@ std::vector<std::uint8_t> encode_stats_response(std::uint64_t request_id,
   put_u64(out, stats.solver_not_converged);
   put_u64(out, stats.solver_iterations);
   put_u64(out, stats.cg_iterations);
-  put_u64(out, stats.fallback_tikhonov);
-  put_u64(out, stats.fallback_dense);
   put_u64(out, stats.masked_entries);
   put_u64(out, stats.auto_masked_entries);
   put_u64(out, stats.outliers_downweighted);
   put_u64(out, stats.numerical_breakdowns);
-  put_u64(out, stats.symbolic_cache_hits);
-  put_u64(out, stats.symbolic_cache_misses);
   put_u64(out, stats.batches);
   put_u64(out, stats.batched_requests);
   put_u64(out, stats.max_batch);
@@ -494,7 +489,6 @@ ProtocolError decode_request_body(const std::uint8_t* data, std::size_t size,
                                   WireRequest& out) {
   Reader r{data, size};
   out.priority = r.u8();
-  out.solve_method = r.u8();
   out.strategy = r.u8();
   const std::uint8_t flags = r.u8();
   out.deadline_ms = r.u32();
@@ -509,7 +503,6 @@ ProtocolError decode_request_body(const std::uint8_t* data, std::size_t size,
   if (r.truncated) return truncated("the request fixed header");
 
   if (out.priority > 2) return fail(ProtoCode::kBadEnum, "priority out of range");
-  if (out.solve_method > 1) return fail(ProtoCode::kBadEnum, "solve_method out of range");
   if (out.strategy > 3) return fail(ProtoCode::kBadEnum, "strategy out of range");
   if ((flags & ~kKnownRequestFlags) != 0) {
     return fail(ProtoCode::kBadEnum, "unknown request flag bits");
@@ -638,14 +631,10 @@ ProtocolError decode_stats_body(const std::uint8_t* data, std::size_t size,
   out.solver_not_converged = r.u64();
   out.solver_iterations = r.u64();
   out.cg_iterations = r.u64();
-  out.fallback_tikhonov = r.u64();
-  out.fallback_dense = r.u64();
   out.masked_entries = r.u64();
   out.auto_masked_entries = r.u64();
   out.outliers_downweighted = r.u64();
   out.numerical_breakdowns = r.u64();
-  out.symbolic_cache_hits = r.u64();
-  out.symbolic_cache_misses = r.u64();
   out.batches = r.u64();
   out.batched_requests = r.u64();
   out.max_batch = r.u64();

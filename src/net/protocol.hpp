@@ -10,13 +10,13 @@
 //        8     8  request_id caller-chosen; echoed verbatim on the response
 //       16     4  body_len   bytes that follow the header
 //       20     4  body_sum   FNV-1a checksum of header bytes 4-19 and the
-//                            body (v3; v2 covered the body only)
+//                            body (v3 on; v2 covered the body only)
 //
 // All integers are little-endian fixed-width; floating point is IEEE-754
 // binary64 bit-copied (the native representation on every supported target),
 // so a recovered field survives the wire bit-identically. A request body
 // carries the shape header (rows/cols/drive voltage), the serving knobs the
-// remote caller may set (priority, deadline, solver selection, formation
+// remote caller may set (priority, deadline, formation strategy and
 // workers/chunk, iteration cap), the Z and U sweeps, and the optional
 // measurement mask; a response body carries the typed wire status
 // (serve/status.hpp stable codes -- never raw enum ordinals), stage timings,
@@ -51,8 +51,9 @@ namespace parma::net {
 inline constexpr std::uint32_t kMagic = 0x414D5250u;  // "PRMA"
 /// v2: +body checksum in the header, ping/pong keepalive frames, typed
 /// kServerBusy connection rejects. v3: the checksum also covers the header's
-/// version, type, request id and body length.
-inline constexpr std::uint16_t kProtocolVersion = 3;
+/// version, type, request id and body length. v4: the request body loses its
+/// solve-method byte and the stats body its four full-system counters.
+inline constexpr std::uint16_t kProtocolVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 24;
 
 /// Hard ceiling on rows/cols in a request shape header: large enough for any
@@ -124,7 +125,6 @@ struct ProtocolError {
 struct WireRequest {
   std::uint64_t request_id = 0;
   std::uint8_t priority = 1;      ///< serve::Priority wire value (0/1/2)
-  std::uint8_t solve_method = 0;  ///< 0 = LM, 1 = full system
   std::uint8_t strategy = 3;      ///< core::Strategy wire value (0..3)
   bool auto_mask_invalid = false;
   std::uint32_t deadline_ms = 0;  ///< 0 = no deadline
@@ -143,7 +143,12 @@ struct WireRequest {
   /// validation -- admission rejects what the transport happily carried.
   [[nodiscard]] serve::ParametrizeRequest to_request() const;
 
-  /// Captures a serve-layer request for transport.
+  /// Captures a serve-layer request for transport. Knobs outside their wire
+  /// field's range saturate instead of wrapping: a timeout <= 0 ms crosses
+  /// as 1 ms, the tightest deadline the wire expresses (0 means none), and a
+  /// timeout, worker count, chunk or iteration cap above the field's maximum
+  /// crosses as that maximum. A negative count crosses as 0, the server
+  /// default.
   static WireRequest from_request(const serve::ParametrizeRequest& request,
                                   std::uint64_t request_id);
 };

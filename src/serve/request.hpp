@@ -15,7 +15,6 @@
 #include "core/strategy.hpp"
 #include "mea/measurement.hpp"
 #include "serve/status.hpp"
-#include "solver/full_system_solver.hpp"
 #include "solver/inverse_solver.hpp"
 
 namespace parma::serve {
@@ -32,15 +31,6 @@ using Clock = std::chrono::steady_clock;
 enum class Priority { kLow = 0, kNormal = 1, kHigh = 2 };
 
 const char* priority_name(Priority priority);
-
-/// Which solver runs the solve stage.
-enum class SolveMethod {
-  kLevenbergMarquardt,  ///< solver::recover_resistances, the fast production
-                        ///< path: Newton-CG on unmasked, unweighted data, LM
-                        ///< on masked or robust ones (name kept for the wire)
-  kFullSystem,          ///< Gauss-Newton + CG on the full joint-constraint
-                        ///< system (paper IV-A); exercises the fallback ladder
-};
 
 /// Minimum acceptable quality of a served recovery. A request whose pipeline
 /// succeeds but whose QualityReport violates any enabled bound completes as
@@ -88,14 +78,10 @@ struct ParametrizeRequest {
   /// Formation configuration; validated once at admission. Serving runs on
   /// real threads, so timing_mode must stay kRealThreads.
   core::StrategyOptions options;
-  /// Solve-stage configuration (validated by the solver inside the pipeline;
-  /// a violation surfaces as kSolverFailed, not as an admission reject).
+  /// Solve-stage configuration for solver::recover_resistances (validated by
+  /// the solver inside the pipeline; a violation surfaces as kSolverFailed,
+  /// not as an admission reject).
   solver::InverseOptions inverse;
-  /// Solver selection; kFullSystem uses `full_system` instead of `inverse`
-  /// and forces keep_system for its formation.
-  SolveMethod solve_method = SolveMethod::kLevenbergMarquardt;
-  /// Full-system solve configuration (used when solve_method == kFullSystem).
-  solver::FullSystemOptions full_system;
   /// Relative deadline, converted to an absolute one at admission. A request
   /// whose deadline passes while queued or between stages completes with
   /// kDeadlineExceeded.
@@ -121,13 +107,8 @@ struct ParametrizeResult {
   RequestStatus status = RequestStatus::kRejected;
   std::string message;             ///< failure detail for non-kOk statuses
 
-  /// The recovery (valid when status == kOk). For solve_method ==
-  /// kFullSystem the FullSystemResult is mapped onto these fields
-  /// (recovered/iterations/converged; final_misfit is the residual RMS).
+  /// The recovery (valid when status == kOk or kDegradedResult).
   solver::InverseResult inverse;
-  /// Fallback-ladder usage of the solve that produced `inverse` (which rung
-  /// each linear solve needed; see fallback.hpp).
-  solver::SolveDiagnostics solve_diagnostics;
   /// Topology report of the device shape, memoized in the server's
   /// FormationCache across requests/batches (valid when kOk).
   core::TopologyReport topology;

@@ -14,7 +14,6 @@
 #include "common/stopwatch.hpp"
 #include "core/engine.hpp"
 #include "fault/injector.hpp"
-#include "solver/full_system_solver.hpp"
 
 namespace parma::serve {
 
@@ -691,10 +690,7 @@ void Server::stage_form(const StatePtr& state) {
   run_guarded(state, [&] {
     if (fault::should_fire(fault::Point::kAllocFailure)) throw std::bad_alloc{};
     Stopwatch form_clock;
-    core::StrategyOptions form_options = state->pending->request.options;
-    if (state->pending->request.solve_method == SolveMethod::kFullSystem) {
-      form_options.keep_system = true;  // the full-system solver consumes it
-    }
+    const core::StrategyOptions& form_options = state->pending->request.options;
     exec::Executor* executor = state->batch->lease.get();
     state->formation.emplace(
         (executor != nullptr) ? state->engine->form_equations(form_options, *executor)
@@ -711,30 +707,8 @@ void Server::stage_solve(const StatePtr& state) {
   if (state->done) return;
   run_guarded(state, [&] {
     Stopwatch solve_clock;
-    solver::InverseResult inverse;
-    if (state->pending->request.solve_method == SolveMethod::kFullSystem) {
-      // The kernel context hands the solver the batch's leased executor and
-      // the shape-shared symbolic analysis, so repeated requests of one
-      // shape skip the pattern computation entirely.
-      solver::KernelContext kernel_context;
-      kernel_context.executor = state->batch->lease.get();
-      kernel_context.symbolic = state->cache->system_symbolic(state->formation->system);
-      solver::FullSystemResult full = solver::solve_full_system(
-          state->formation->system, state->engine->measurement(),
-          state->pending->request.full_system, kernel_context);
-      inverse.recovered = std::move(full.recovered);
-      inverse.iterations = full.iterations;
-      inverse.converged = full.converged;
-      inverse.final_misfit = full.final_residual_rms;
-      inverse.misfit_history = std::move(full.residual_history);
-      inverse.diagnostics = full.diagnostics;
-      inverse.termination = full.termination;
-      inverse.robust = std::move(full.robust);
-    } else {
-      inverse = state->engine->recover(state->pending->request.inverse);
-    }
+    solver::InverseResult inverse = state->engine->recover(state->pending->request.inverse);
     ParametrizeResult& result = state->out->result;
-    result.solve_diagnostics = inverse.diagnostics;
     result.solve_seconds = solve_clock.elapsed_seconds();
     stats_.solve.record(result.solve_seconds);
     state->inverse = std::move(inverse);
@@ -827,9 +801,7 @@ void Server::complete(const PendingPtr& pending, ParametrizeResult&& result) {
   }
   if (result.has_result()) {
     stats_.on_solve(result.inverse.iterations, result.inverse.converged,
-                    result.solve_diagnostics.tikhonov_retries,
-                    result.solve_diagnostics.dense_fallbacks,
-                    result.solve_diagnostics.cg_iterations);
+                    result.inverse.diagnostics.cg_iterations);
     stats_.on_quality(result.quality.masked_entries, result.quality.auto_masked,
                       result.quality.outlier_entries, result.quality.numerical_breakdown);
   }
@@ -894,9 +866,6 @@ Stats Server::stats() const {
   Stats s = stats_.snapshot(queue_.high_water(), breakers_.opened_events());
   s.breaker_open_shapes = breakers_.open_shapes();
   s.degraded = degraded_.load(std::memory_order_relaxed);
-  const core::FormationCache::Stats cache_stats = cache_->stats();
-  s.symbolic_cache_hits = cache_stats.symbolic_hits;
-  s.symbolic_cache_misses = cache_stats.symbolic_misses;
   return s;
 }
 

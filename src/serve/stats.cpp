@@ -111,16 +111,12 @@ void Stats::merge(const Stats& other) {
   solver_not_converged += other.solver_not_converged;
   solver_iterations += other.solver_iterations;
   cg_iterations += other.cg_iterations;
-  fallback_tikhonov += other.fallback_tikhonov;
-  fallback_dense += other.fallback_dense;
   masked_entries += other.masked_entries;
   auto_masked_entries += other.auto_masked_entries;
   outliers_downweighted += other.outliers_downweighted;
   numerical_breakdowns += other.numerical_breakdowns;
   breaker_open_shapes += other.breaker_open_shapes;
   degraded = degraded || other.degraded;
-  symbolic_cache_hits += other.symbolic_cache_hits;
-  symbolic_cache_misses += other.symbolic_cache_misses;
   batches += other.batches;
   batched_requests += other.batched_requests;
   max_batch = std::max(max_batch, other.max_batch);
@@ -135,8 +131,7 @@ void Stats::merge(const Stats& other) {
   end_to_end.merge(other.end_to_end);
 }
 
-void StatsCollector::on_solve(Index iterations, bool converged, Index tikhonov_retries,
-                              Index dense_fallbacks, Index cg_iterations) {
+void StatsCollector::on_solve(Index iterations, bool converged, Index cg_iterations) {
   solver_iterations_.fetch_add(static_cast<std::uint64_t>(iterations),
                                std::memory_order_relaxed);
   if (cg_iterations > 0) {
@@ -144,14 +139,6 @@ void StatsCollector::on_solve(Index iterations, bool converged, Index tikhonov_r
                              std::memory_order_relaxed);
   }
   if (!converged) solver_not_converged_.fetch_add(1, std::memory_order_relaxed);
-  if (tikhonov_retries > 0) {
-    fallback_tikhonov_.fetch_add(static_cast<std::uint64_t>(tikhonov_retries),
-                                 std::memory_order_relaxed);
-  }
-  if (dense_fallbacks > 0) {
-    fallback_dense_.fetch_add(static_cast<std::uint64_t>(dense_fallbacks),
-                              std::memory_order_relaxed);
-  }
 }
 
 void StatsCollector::on_quality(Index masked_entries, Index auto_masked, Index outliers,
@@ -200,8 +187,6 @@ Stats StatsCollector::snapshot(std::size_t queue_high_water,
   s.solver_not_converged = solver_not_converged_.load(std::memory_order_relaxed);
   s.solver_iterations = solver_iterations_.load(std::memory_order_relaxed);
   s.cg_iterations = cg_iterations_.load(std::memory_order_relaxed);
-  s.fallback_tikhonov = fallback_tikhonov_.load(std::memory_order_relaxed);
-  s.fallback_dense = fallback_dense_.load(std::memory_order_relaxed);
   s.masked_entries = masked_entries_.load(std::memory_order_relaxed);
   s.auto_masked_entries = auto_masked_entries_.load(std::memory_order_relaxed);
   s.outliers_downweighted = outliers_downweighted_.load(std::memory_order_relaxed);

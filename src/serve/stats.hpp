@@ -65,11 +65,12 @@ struct Stats {
   std::uint64_t retry_successes = 0;     ///< kOk completions that needed > 1 attempt
   std::uint64_t breaker_opened_events = 0;  ///< closed/half-open -> open transitions
   std::uint64_t degraded_entered = 0;    ///< degraded-mode entries
-  std::uint64_t solver_not_converged = 0;  ///< kOk completions with converged=false
-  std::uint64_t solver_iterations = 0;   ///< total outer iterations over kOk solves
-  std::uint64_t cg_iterations = 0;       ///< total CG iterations over kOk solves
-  std::uint64_t fallback_tikhonov = 0;   ///< linear solves that needed rung 2
-  std::uint64_t fallback_dense = 0;      ///< linear solves that needed rung 3
+
+  // Solver counters, over completions that produced a result (kOk or
+  // kDegradedResult).
+  std::uint64_t solver_not_converged = 0;  ///< such completions with converged=false
+  std::uint64_t solver_iterations = 0;     ///< total outer iterations of their solves
+  std::uint64_t cg_iterations = 0;         ///< total CG iterations of their solves
 
   // Input-quality counters (masking + robust estimation), over completions
   // that produced a result (kOk or kDegradedResult).
@@ -81,11 +82,6 @@ struct Stats {
   // Live gauges (filled by Server::stats()).
   std::size_t breaker_open_shapes = 0;  ///< shapes currently open/half-open
   bool degraded = false;                ///< degraded mode active right now
-
-  // Kernel symbolic-structure cache (full-system solves; one symbolic
-  // analysis per device shape, from the shared FormationCache).
-  std::uint64_t symbolic_cache_hits = 0;
-  std::uint64_t symbolic_cache_misses = 0;
 
   // Batching.
   std::uint64_t batches = 0;
@@ -157,12 +153,10 @@ class StatsCollector {
   void on_retry() { retries_.fetch_add(1, std::memory_order_relaxed); }
   void on_retry_success() { retry_successes_.fetch_add(1, std::memory_order_relaxed); }
   void on_degraded_entered() { degraded_entered_.fetch_add(1, std::memory_order_relaxed); }
-  /// Solver outcome of a kOk completion: outer iterations, convergence, how
-  /// far up the fallback ladder its linear solves went, and the total CG
-  /// iterations those solves spent (the preconditioner-sensitive cost; a
-  /// regressing preconditioner shows up here before it shows up in latency).
-  void on_solve(Index iterations, bool converged, Index tikhonov_retries,
-                Index dense_fallbacks, Index cg_iterations = 0);
+  /// Solver outcome of a completion that produced a result (kOk or
+  /// kDegradedResult): outer iterations, convergence, and the total CG
+  /// iterations its linear solves spent.
+  void on_solve(Index iterations, bool converged, Index cg_iterations);
   /// Quality outcome of a completion that produced a result (kOk or
   /// kDegradedResult): masking census, robust down-weighting, breakdowns.
   void on_quality(Index masked_entries, Index auto_masked, Index outliers,
@@ -200,8 +194,6 @@ class StatsCollector {
   std::atomic<std::uint64_t> solver_not_converged_{0};
   std::atomic<std::uint64_t> solver_iterations_{0};
   std::atomic<std::uint64_t> cg_iterations_{0};
-  std::atomic<std::uint64_t> fallback_tikhonov_{0};
-  std::atomic<std::uint64_t> fallback_dense_{0};
   std::atomic<std::uint64_t> masked_entries_{0};
   std::atomic<std::uint64_t> auto_masked_entries_{0};
   std::atomic<std::uint64_t> outliers_downweighted_{0};

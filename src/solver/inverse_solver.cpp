@@ -125,7 +125,6 @@ InverseResult recover_newton_cg(const mea::Measurement& measurement,
     linalg::IterativeResult cg = linalg::conjugate_gradient_with(system, b, cg_options, workspace);
     ++result.diagnostics.linear_solves;
     result.diagnostics.cg_iterations += cg.iterations;
-    result.diagnostics.highest_rung = FallbackRung::kCg;
     return cg.x;
   };
 
@@ -220,7 +219,6 @@ InverseResult recover_newton_cg(const mea::Measurement& measurement,
 
   result.final_misfit = misfit;
   result.converged = result.converged || misfit <= options.tolerance;
-  result.diagnostics.converged = result.converged;
   if (result.converged) result.termination = TerminationReason::kToleranceReached;
   return result;
 }
@@ -577,7 +575,6 @@ InverseResult recover_resistances(const mea::Measurement& measurement,
 
   result.final_misfit = misfit;
   result.converged = result.converged || misfit <= options.tolerance;
-  result.diagnostics.converged = result.converged;
   if (result.converged) result.termination = TerminationReason::kToleranceReached;
 
   // Final outlier census at the converged state: entries whose IRLS weight

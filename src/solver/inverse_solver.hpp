@@ -31,7 +31,6 @@
 
 #include "circuit/crossbar.hpp"
 #include "mea/measurement.hpp"
-#include "solver/fallback.hpp"
 #include "solver/robust.hpp"
 
 namespace parma::solver {
@@ -78,6 +77,12 @@ struct InverseOptions {
   Real masked_prior_strength = 3e-2;
 };
 
+/// Linear-solve work of one recovery.
+struct SolveDiagnostics {
+  Index linear_solves = 0;  ///< linear systems solved
+  Index cg_iterations = 0;  ///< CG iterations summed over those solves
+};
+
 struct InverseResult {
   circuit::ResistanceGrid recovered{1, 1};
   Index iterations = 0;
@@ -86,9 +91,8 @@ struct InverseResult {
   std::vector<Real> misfit_history;     ///< one entry per accepted iteration
   /// Linear-solve counts. Newton-CG: linear_solves counts its CG solves (one
   /// per Newton step, plus one per damped step it falls back to),
-  /// cg_iterations all their CG iterations, highest_rung is kCg. LM: every
-  /// damped normal-equation solve is one direct dense solve (linear_solves)
-  /// and no CG runs.
+  /// cg_iterations all their CG iterations. LM: every damped normal-equation
+  /// solve is one direct dense solve (linear_solves) and no CG runs.
   SolveDiagnostics diagnostics;
   /// Why the loop stopped; a non-finite misfit on every trial step reports
   /// kNumericalBreakdown instead of looking like a stall.

@@ -1,19 +1,16 @@
-// Robust estimation layered on the Gauss-Newton / Levenberg-Marquardt loops:
-// iteratively-reweighted least squares (IRLS) with Huber or Tukey weights.
+// Robust estimation layered on the Levenberg-Marquardt loop: iteratively-
+// reweighted least squares (IRLS) with Huber or Tukey weights.
 //
 // Per outer iteration the solver computes the unweighted residual r, a robust
 // scale sigma = 1.4826 * median |r_e| (the MAD estimate, consistent for a
 // Gaussian core), and per-row weights w_e = psi(r_e / sigma) / (r_e / sigma).
-// The normal equations become J^T W J delta = -J^T W r. The weights are
-// numeric-only -- they never change which slots exist -- so the symbolic
-// split and the zero-allocation kernel refreshes are preserved; with
+// The normal equations become J^T W J delta = -J^T W r. With
 // RobustLoss::kNone no weight is ever computed and the plain least-squares
 // path is bit-identical to the pre-robust solver.
 //
 // Also home to the typed termination taxonomy (so a non-finite residual or
 // step surfaces as kNumericalBreakdown instead of burning max-iterations) and
-// the cheap diagonal condition estimate that drives the adaptive Tikhonov
-// strength in the fallback ladder.
+// the cheap diagonal condition estimate the solvers report.
 #pragma once
 
 #include <vector>
@@ -90,7 +87,7 @@ Index robust_weights(const std::vector<Real>& residual, Real scale, RobustLoss l
 /// Cheap condition proxy of a (near-)SPD matrix from its diagonal:
 /// max diag / min positive diag. A lower bound on the true spectral condition
 /// number -- cheap enough for every iteration, and large exactly when the
-/// normal equations are heading toward the Tikhonov rung. Returns +inf when
+/// normal equations are heading toward singularity. Returns +inf when
 /// the diagonal has non-positive or non-finite entries.
 [[nodiscard]] Real diagonal_condition_estimate(const std::vector<Real>& diag);
 

@@ -23,6 +23,8 @@
 #include <csignal>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -80,7 +82,6 @@ Frame decode_one(const std::vector<std::uint8_t>& bytes) {
 TEST(NetProtocol, RequestRoundTripPreservesEveryField) {
   WireRequest original = make_wire_request(4, 42);
   original.priority = 2;
-  original.solve_method = 1;
   original.strategy = 1;
   original.auto_mask_invalid = true;
   original.deadline_ms = 1500;
@@ -98,7 +99,6 @@ TEST(NetProtocol, RequestRoundTripPreservesEveryField) {
 
   EXPECT_EQ(decoded.request_id, 42u);
   EXPECT_EQ(decoded.priority, original.priority);
-  EXPECT_EQ(decoded.solve_method, original.solve_method);
   EXPECT_EQ(decoded.strategy, original.strategy);
   EXPECT_EQ(decoded.auto_mask_invalid, original.auto_mask_invalid);
   EXPECT_EQ(decoded.deadline_ms, original.deadline_ms);
@@ -116,6 +116,48 @@ TEST(NetProtocol, RequestRoundTripPreservesEveryField) {
   EXPECT_EQ(std::memcmp(decoded.u.data(), original.u.data(),
                         original.u.size() * sizeof(Real)), 0);
   EXPECT_EQ(decoded.mask, original.mask);
+}
+
+// A knob outside its wire field's range saturates instead of wrapping, so a
+// request keeps its meaning across the wire: a timeout <= 0 stays the
+// tightest deadline rather than turning into "no deadline", and counts above
+// the field's maximum cross as that maximum.
+TEST(NetProtocol, FromRequestSaturatesOutOfRangeKnobs) {
+  serve::ParametrizeRequest request = make_request(3);
+  const auto crossed = [](const serve::ParametrizeRequest& r) {
+    const Frame frame = decode_one(encode_request(WireRequest::from_request(r, 1)));
+    EXPECT_TRUE(frame.request.has_value());
+    return frame.request.value_or(WireRequest{});
+  };
+
+  for (const auto timeout : {0ms, -5ms}) {
+    request.timeout = timeout;
+    const WireRequest wire = crossed(request);
+    EXPECT_EQ(wire.deadline_ms, 1u) << timeout.count();
+    EXPECT_EQ(wire.to_request().timeout, std::optional{1ms}) << timeout.count();
+  }
+  request.timeout = std::chrono::milliseconds(std::int64_t{1} << 40);
+  EXPECT_EQ(crossed(request).deadline_ms, std::numeric_limits<std::uint32_t>::max());
+  request.timeout = 1500ms;
+  EXPECT_EQ(crossed(request).deadline_ms, 1500u);
+
+  constexpr std::uint16_t kMax16 = std::numeric_limits<std::uint16_t>::max();
+  request.inverse.max_iterations = 70000;
+  request.options.workers = 70000;
+  request.options.chunk = std::int64_t{1} << 33;
+  WireRequest wire = crossed(request);
+  EXPECT_EQ(wire.max_iterations, kMax16);
+  EXPECT_EQ(wire.form_workers, kMax16);
+  EXPECT_EQ(wire.form_chunk, kMax16);
+  EXPECT_EQ(wire.to_request().inverse.max_iterations, kMax16);
+
+  request.inverse.max_iterations = 40;
+  request.options.workers = 3;
+  request.options.chunk = 5;
+  wire = crossed(request);
+  EXPECT_EQ(wire.max_iterations, 40u);
+  EXPECT_EQ(wire.form_workers, 3u);
+  EXPECT_EQ(wire.form_chunk, 5u);
 }
 
 TEST(NetProtocol, ResponseRoundTripPreservesFieldAndTimings) {
@@ -270,7 +312,7 @@ TEST(NetProtocol, MidPayloadTruncationSurfacesWhenBodyArrivesShort) {
   WireRequest request = make_wire_request(3, 5);
   std::vector<std::uint8_t> bytes = encode_request(request);
   const std::uint32_t rows = 64;  // body still carries 3x3 worth of samples
-  std::memcpy(&bytes[kHeaderBytes + 16], &rows, sizeof rows);
+  std::memcpy(&bytes[kHeaderBytes + 15], &rows, sizeof rows);
   patch_frame_checksum(bytes);  // keep integrity valid: the SHAPE is the lie
 
   FrameDecoder decoder;
@@ -294,7 +336,7 @@ TEST(NetProtocol, OutOfRangeEnumIsTyped) {
 TEST(NetProtocol, DegenerateShapeIsTyped) {
   std::vector<std::uint8_t> bytes = encode_request(make_wire_request(3, 5));
   const std::uint32_t rows = 1;  // below the 2x2 minimum
-  std::memcpy(&bytes[kHeaderBytes + 16], &rows, sizeof rows);
+  std::memcpy(&bytes[kHeaderBytes + 15], &rows, sizeof rows);
   patch_frame_checksum(bytes);
   FrameDecoder decoder;
   decoder.feed(bytes);
@@ -633,6 +675,15 @@ TEST(NetEndToEnd, ProtocolErrorTeardownSendsNoCancelledReplies) {
   server.shutdown();
 }
 
+bool wait_until(const std::function<bool()>& pred, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(5ms);
+  }
+  return pred();
+}
+
 TEST(NetEndToEnd, DisconnectingClientNeverBlocksTheDispatcher) {
   serve::Server server(small_server());
   Listener listener(server);
@@ -653,10 +704,12 @@ TEST(NetEndToEnd, DisconnectingClientNeverBlocksTheDispatcher) {
   ASSERT_TRUE(ticket.accepted());
   ASSERT_EQ(ticket.future().wait_for(10s), std::future_status::ready);
   EXPECT_EQ(ticket.future().get().status, serve::RequestStatus::kOk);
+  // The I/O thread notices the vanished peer. The in-process solve above can
+  // finish before it reads the EOF, so wait for it rather than racing stop().
+  EXPECT_TRUE(wait_until([&] { return listener.counters().disconnects >= 1; }, 10000ms));
 
   // And the teardown path (drain + scope join) must not wedge either.
   listener.stop();
-  EXPECT_GE(listener.counters().disconnects, 1u);
   server.shutdown();
 }
 
@@ -705,15 +758,6 @@ void send_all(int fd, const std::uint8_t* data, std::size_t len) {
 
 void send_all(int fd, const std::vector<std::uint8_t>& bytes) {
   send_all(fd, bytes.data(), bytes.size());
-}
-
-bool wait_until(const std::function<bool()>& pred, std::chrono::milliseconds limit) {
-  const auto deadline = std::chrono::steady_clock::now() + limit;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(5ms);
-  }
-  return pred();
 }
 
 /// The SIGPIPE witness for the socket-shim regression tests. sig_atomic_t
